@@ -1,17 +1,19 @@
 //! Telemetry decorator for recommenders.
 //!
 //! [`InstrumentedRecommender`] wraps any [`Recommender`] and counts and
-//! times every `predict`/`evidence`/`recommend` call against a shared
-//! [`Telemetry`] registry, under per-model metric names:
+//! times every model call against a shared [`Telemetry`] registry,
+//! under per-model metric names. `predict_with_evidence` counts as one
+//! prediction and `recommend_with_evidence` as one ranking: each is one
+//! call into the model, whatever it returns.
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `algo.predict.<model>` | counter | successful predictions |
-//! | `algo.predict_err.<model>` | counter | failed predictions |
-//! | `algo.predict_ns.<model>` | histogram | prediction latency |
-//! | `algo.evidence_ns.<model>` | histogram | evidence-gathering latency |
-//! | `algo.recommend.<model>` | counter | `recommend` calls |
-//! | `algo.recommend_ns.<model>` | histogram | full ranking latency |
+//! | `algo.predict.<model>` | counter | successful `predict` / `predict_with_evidence` calls |
+//! | `algo.predict_err.<model>` | counter | failed `predict` / `predict_with_evidence` calls |
+//! | `algo.predict_ns.<model>` | histogram | latency of both |
+//! | `algo.evidence_ns.<model>` | histogram | `evidence` latency |
+//! | `algo.recommend.<model>` | counter | `recommend` / `recommend_with_evidence` calls |
+//! | `algo.recommend_ns.<model>` | histogram | latency of both |
 //! | `algo.recommend_batch.<model>` | counter | `recommend_batch` calls |
 //! | `algo.recommend_batch_users.<model>` | counter | users served via batches |
 //! | `algo.recommend_batch_ns.<model>` | histogram | whole-batch latency |
@@ -72,6 +74,27 @@ impl<R: Recommender> InstrumentedRecommender<R> {
     pub fn into_inner(self) -> R {
         self.inner
     }
+
+    /// Times one prediction-shaped call and counts its outcome.
+    fn count_prediction<T>(&self, call: impl FnOnce() -> Result<T>) -> Result<T> {
+        let started = Instant::now();
+        let result = call();
+        self.predict_ns.record(started.elapsed());
+        match &result {
+            Ok(_) => self.predictions.incr(),
+            Err(_) => self.prediction_errors.incr(),
+        }
+        result
+    }
+
+    /// Times and counts one ranking call.
+    fn count_ranking<T>(&self, call: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let result = call();
+        self.recommend_ns.record(started.elapsed());
+        self.recommends.incr();
+        result
+    }
 }
 
 impl<R: Recommender> Recommender for InstrumentedRecommender<R> {
@@ -80,14 +103,16 @@ impl<R: Recommender> Recommender for InstrumentedRecommender<R> {
     }
 
     fn predict(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<Prediction> {
-        let started = Instant::now();
-        let result = self.inner.predict(ctx, user, item);
-        self.predict_ns.record(started.elapsed());
-        match &result {
-            Ok(_) => self.predictions.incr(),
-            Err(_) => self.prediction_errors.incr(),
-        }
-        result
+        self.count_prediction(|| self.inner.predict(ctx, user, item))
+    }
+
+    fn predict_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        item: ItemId,
+    ) -> Result<(Prediction, ModelEvidence)> {
+        self.count_prediction(|| self.inner.predict_with_evidence(ctx, user, item))
     }
 
     fn evidence(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<ModelEvidence> {
@@ -98,15 +123,20 @@ impl<R: Recommender> Recommender for InstrumentedRecommender<R> {
     }
 
     fn recommend(&self, ctx: &Ctx<'_>, user: UserId, n: usize) -> Vec<Scored> {
-        let started = Instant::now();
         // Delegate to the inner model so specialised rankings (e.g.
         // TF-IDF's cosine ordering) are preserved; its per-item predict
         // calls bypass this wrapper, so the ranking itself is observed
         // as one `recommend` sample rather than n `predict` samples.
-        let result = self.inner.recommend(ctx, user, n);
-        self.recommend_ns.record(started.elapsed());
-        self.recommends.incr();
-        result
+        self.count_ranking(|| self.inner.recommend(ctx, user, n))
+    }
+
+    fn recommend_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        n: usize,
+    ) -> Vec<(Scored, Option<ModelEvidence>)> {
+        self.count_ranking(|| self.inner.recommend_with_evidence(ctx, user, n))
     }
 
     fn recommend_batch(&self, ctx: &Ctx<'_>, users: &[UserId], n: usize) -> Vec<Vec<Scored>> {
@@ -200,5 +230,32 @@ mod tests {
         // Item 0 is rated, items 2 is the only unrated even id.
         assert_eq!(recs.len(), 1);
         assert_eq!(model.name(), "flaky");
+    }
+
+    #[test]
+    fn evidence_carrying_calls_count_once() {
+        let (ratings, catalog) = fixture();
+        let ctx = Ctx::new(&ratings, &catalog);
+        let obs = Telemetry::default();
+        let model = InstrumentedRecommender::new(Flaky, &obs);
+
+        assert!(model
+            .predict_with_evidence(&ctx, UserId(0), ItemId(2))
+            .is_ok());
+        assert!(model
+            .predict_with_evidence(&ctx, UserId(0), ItemId(3))
+            .is_err());
+        let ranked = model.recommend_with_evidence(&ctx, UserId(0), 10);
+        assert_eq!(ranked.len(), 1);
+
+        // One call each, under the existing names; the inner default's
+        // predict + evidence pair is not counted twice.
+        let report = obs.report();
+        assert_eq!(report.counters["algo.predict.flaky"], 1);
+        assert_eq!(report.counters["algo.predict_err.flaky"], 1);
+        assert_eq!(report.histograms["algo.predict_ns.flaky"].count, 2);
+        assert_eq!(report.counters["algo.recommend.flaky"], 1);
+        assert_eq!(report.histograms["algo.recommend_ns.flaky"].count, 1);
+        assert_eq!(report.histograms["algo.evidence_ns.flaky"].count, 0);
     }
 }

@@ -26,8 +26,9 @@ where
 /// Where [`top_k_by`] sorts the whole candidate vector, this keeps a
 /// bounded `k`-entry working set and replaces its worst entry on the
 /// fly — `O(m · k)` worst case but `O(m + k log k)`-ish in practice
-/// since replacements thin out fast — which is what the kernel gather
-/// path wants when it ranks thousands of raters per item at `k ≈ 20`.
+/// since replacements thin out fast — which is what the single-item
+/// column gather wants when it ranks an item's thousands of raters at
+/// `k ≈ 20`.
 /// Verified equivalent to `top_k_by` (including tie order) by the
 /// `streaming_matches_sort` test below.
 pub fn top_k_stream<T, I, F>(items: I, k: usize, mut key: F) -> Vec<T>

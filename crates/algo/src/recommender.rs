@@ -195,14 +195,52 @@ pub trait Recommender {
     /// Same conditions as [`Recommender::predict`].
     fn evidence(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<ModelEvidence>;
 
+    /// [`Recommender::predict`] and [`Recommender::evidence`] for one
+    /// pair in one call. The default runs the two in turn; a model whose
+    /// evidence is the state its prediction came from (user-kNN's
+    /// neighbourhood) overrides it to compute that state once.
+    ///
+    /// # Errors
+    ///
+    /// The prediction's error when it fails, else the evidence's.
+    fn predict_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        item: ItemId,
+    ) -> Result<(Prediction, ModelEvidence)> {
+        let prediction = self.predict(ctx, user, item)?;
+        let evidence = self.evidence(ctx, user, item)?;
+        Ok((prediction, evidence))
+    }
+
+    /// [`Recommender::recommend`], each item paired with its evidence
+    /// when the ranking already holds it. The default holds none, so
+    /// every entry is `None` and callers gather evidence per item. An
+    /// override returns the same items as `recommend`, and any evidence
+    /// it supplies equals what [`Recommender::evidence`] returns for
+    /// that pair.
+    fn recommend_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        n: usize,
+    ) -> Vec<(Scored, Option<ModelEvidence>)> {
+        self.recommend(ctx, user, n)
+            .into_iter()
+            .map(|scored| (scored, None))
+            .collect()
+    }
+
     /// Ranks the top `n` items the user has not yet rated. Items for which
     /// no prediction is possible are skipped. Ties break toward lower item
     /// ids so output is deterministic.
     fn recommend(&self, ctx: &Ctx<'_>, user: UserId, n: usize) -> Vec<Scored> {
         // Phase attribution for the serving profiler: the candidate
-        // scan (predict every unrated item — the brute-force hot spot
-        // the ROADMAP's tiled kernel will replace) and the top-k sort.
-        // No-ops outside an active route (`exrec_obs::profile`).
+        // scan (one `predict` per unrated item; models with a
+        // whole-request path, like user-kNN's scan engine, override
+        // this) and the top-k sort. No-ops outside an active route
+        // (`exrec_obs::profile`).
         let scan = exrec_obs::profile::phase("scan");
         let mut scored: Vec<Scored> = ctx
             .catalog
@@ -303,6 +341,30 @@ mod tests {
         let (ratings, catalog) = fixtures();
         let ctx = Ctx::new(&ratings, &catalog);
         assert_eq!(ByIdRecommender.recommend(&ctx, UserId(1), 2).len(), 2);
+    }
+
+    #[test]
+    fn evidence_defaults_chain_predict_and_evidence() {
+        let (ratings, catalog) = fixtures();
+        let ctx = Ctx::new(&ratings, &catalog);
+        let (p, e) = ByIdRecommender
+            .predict_with_evidence(&ctx, UserId(1), ItemId(1))
+            .unwrap();
+        assert_eq!(
+            p,
+            ByIdRecommender.predict(&ctx, UserId(1), ItemId(1)).unwrap()
+        );
+        assert_eq!(e.kind(), "popularity");
+        assert!(ByIdRecommender
+            .predict_with_evidence(&ctx, UserId(1), ItemId(2))
+            .is_err());
+        let ranked = ByIdRecommender.recommend_with_evidence(&ctx, UserId(0), 10);
+        let plain = ByIdRecommender.recommend(&ctx, UserId(0), 10);
+        assert_eq!(ranked.len(), plain.len());
+        for ((scored, evidence), want) in ranked.iter().zip(&plain) {
+            assert_eq!(scored, want);
+            assert!(evidence.is_none(), "the default precomputes no evidence");
+        }
     }
 
     #[test]

@@ -18,6 +18,12 @@ use crate::recommender::{Ctx, ModelEvidence, NeighborContribution, Recommender, 
 use crate::similarity::{self, Similarity};
 use exrec_types::{Confidence, Error, ItemId, Prediction, Result, UserId};
 
+/// Users sorted per head of the inverted gather
+/// ([`UserKnn::gather_ranked`]). Heads are cut with
+/// `select_nth_unstable_by`, so a walk that fills every item early never
+/// sorts the whole eligible set.
+const GATHER_HEAD: usize = 4096;
+
 /// Configuration for [`UserKnn`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserKnnConfig {
@@ -63,7 +69,10 @@ impl Default for UserKnnConfig {
 /// ([`ScanMode::Pruned`], recall ≥ 0.99 with automatic exact fallback).
 /// The engine snapshots the matrix per revision, so mid-session
 /// re-rating is still observed on the next call, exactly like the
-/// cache's invalidation contract. See `docs/kernels.md`.
+/// cache's invalidation contract. A ranking then costs one kernel scan:
+/// an inverted gather builds every candidate item's neighbourhood from
+/// it, and [`Recommender::recommend_with_evidence`] hands each
+/// neighbourhood out as its item's evidence. See `docs/kernels.md`.
 #[derive(Debug, Clone, Default)]
 pub struct UserKnn {
     config: UserKnnConfig,
@@ -248,22 +257,39 @@ impl UserKnn {
         item: ItemId,
         handle: &ScanHandle,
     ) -> Vec<NeighborContribution> {
-        let params = self.sim_params();
-        let csr = {
-            let _p = exrec_obs::profile::phase("csr");
-            handle.engine.csr(ctx.ratings, &params)
-        };
+        let csr = self.csr_for(ctx, handle);
         let raters = csr.col(item.index()).0;
         if raters.is_empty() {
             return Vec::new();
         }
-        let (scan_list, pruned, fell_back) = self.scan_list_for(&csr, user, handle, Some(raters));
+        let sims = self.scan_sims(&csr, user, handle, Some(raters));
+        let _p = exrec_obs::profile::phase("gather");
+        self.gather_neighbors(&csr, &sims, user, item)
+    }
+
+    /// The engine's CSR snapshot for the ratings in `ctx`.
+    fn csr_for(&self, ctx: &Ctx<'_>, handle: &ScanHandle) -> Arc<CsrRatings> {
+        let _p = exrec_obs::profile::phase("csr");
+        handle.engine.csr(ctx.ratings, &self.sim_params())
+    }
+
+    /// One kernel scan of `user` against the scan list for this mode
+    /// (see [`UserKnn::scan_list_for`]), recorded on the engine's
+    /// counters. Returns the dense sims table (`0.0` off the list).
+    fn scan_sims(
+        &self,
+        csr: &Arc<CsrRatings>,
+        user: UserId,
+        handle: &ScanHandle,
+        raters: Option<&[u32]>,
+    ) -> Vec<f64> {
+        let (scan_list, pruned, fell_back) = self.scan_list_for(csr, user, handle, raters);
         let mut sims = Vec::new();
         let outcome = {
             let _p = exrec_obs::profile::phase("kernel");
             scan_similarities(
-                &csr,
-                &params,
+                csr,
+                &self.sim_params(),
                 user,
                 Some(&scan_list),
                 handle.engine.tile(),
@@ -275,8 +301,7 @@ impl UserKnn {
             pruned.then_some((scan_list.len(), csr.n_users())),
             fell_back,
         );
-        let _p = exrec_obs::profile::phase("gather");
-        self.gather_neighbors(&csr, &sims, user, item)
+        sims
     }
 
     /// The user list one scan should score, per mode: `raters` bounds
@@ -350,35 +375,116 @@ impl UserKnn {
         top_k_stream(contributions, self.config.k, |n| n.similarity)
     }
 
-    /// Scores one candidate item from the dense similarity table with
-    /// the same arithmetic as [`UserKnn::predict`] (neighbour means off
-    /// the CSR snapshot are bit-identical to the live matrix's).
-    #[allow(clippy::too_many_arguments)]
-    fn score_item(
+    /// The inverted gather: every candidate item's top-k neighbourhood
+    /// from one walk over the request's sims table (docs/kernels.md,
+    /// "Gathering neighbourhoods"). Users with `sim > min_similarity`
+    /// are visited in (sim desc, id asc) order, sorted one head of
+    /// [`GATHER_HEAD`] users at a time. Each visited user joins the list
+    /// of every open item in their CSR row; an item closes at `k`
+    /// entries, and the walk stops once every item is closed. Each list
+    /// then equals [`UserKnn::gather_neighbors`] on the same table,
+    /// entry for entry, because both keep the first `k` raters in that
+    /// order. Lists come back parallel to `items`.
+    fn gather_ranked(
         &self,
         csr: &CsrRatings,
-        ctx: &Ctx<'_>,
         sims: &[f64],
+        user: UserId,
+        items: &[ItemId],
+    ) -> Vec<Vec<NeighborContribution>> {
+        let k = self.config.k;
+        // `slot[item]`: the item's position in `lists` while it is open.
+        let mut slot = vec![u32::MAX; csr.n_items()];
+        let mut lists = Vec::with_capacity(items.len());
+        for (pos, item) in items.iter().enumerate() {
+            slot[item.index()] = pos as u32;
+            lists.push(Vec::with_capacity(k.min(csr.col(item.index()).0.len())));
+        }
+        let mut open = items.len();
+        let mut order: Vec<(f64, u32)> = sims
+            .iter()
+            .enumerate()
+            .filter(|&(v, &s)| s > self.config.min_similarity && v != user.index())
+            .map(|(v, &s)| (s, v as u32))
+            .collect();
+        // The id makes every key unique, so a head cut is exact.
+        let better = |a: &(f64, u32), b: &(f64, u32)| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        };
+        let mut start = 0;
+        while open > 0 && start < order.len() {
+            let rest = &mut order[start..];
+            let len = rest.len().min(GATHER_HEAD);
+            if len < rest.len() {
+                rest.select_nth_unstable_by(len - 1, better);
+            }
+            let head = &mut rest[..len];
+            head.sort_unstable_by(better);
+            for &(similarity, v) in head.iter() {
+                let (row_items, row_vals) = csr.row(v as usize);
+                for (&i, &rating) in row_items.iter().zip(row_vals) {
+                    let pos = slot[i as usize];
+                    if pos == u32::MAX {
+                        continue;
+                    }
+                    let list = &mut lists[pos as usize];
+                    list.push(NeighborContribution {
+                        user: UserId(v),
+                        similarity,
+                        rating,
+                    });
+                    if list.len() == k {
+                        slot[i as usize] = u32::MAX;
+                        open -= 1;
+                    }
+                }
+                if open == 0 {
+                    break;
+                }
+            }
+            start += len;
+        }
+        lists
+    }
+
+    /// Resnick's mean-centred prediction from a ranked neighbourhood:
+    /// the arithmetic behind every prediction and ranking score.
+    /// `neighbor_mean` resolves a neighbour's mean rating, from the live
+    /// matrix or the CSR snapshot (the two are bit-identical).
+    fn prediction_from(
+        &self,
+        ctx: &Ctx<'_>,
         user: UserId,
         item: ItemId,
         user_mean: f64,
-        global_mean: f64,
-    ) -> Option<Scored> {
-        let neighbors = self.gather_neighbors(csr, sims, user, item);
+        neighbors: &[NeighborContribution],
+        neighbor_mean: impl Fn(UserId) -> f64,
+    ) -> Result<Prediction> {
         if neighbors.is_empty() {
-            return None;
+            return Err(Error::NoPrediction {
+                user,
+                item,
+                reason: "no similar users rated this item",
+            });
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for n in &neighbors {
-            let n_mean = csr.user_mean_or(n.user.index(), global_mean);
-            num += n.similarity * (n.rating - n_mean);
+        for n in neighbors {
+            num += n.similarity * (n.rating - neighbor_mean(n.user));
             den += n.similarity.abs();
         }
         if den <= 1e-12 {
-            return None;
+            return Err(Error::NoPrediction {
+                user,
+                item,
+                reason: "neighbour similarities cancel out",
+            });
         }
         let score = ctx.ratings.scale().bound(user_mean + num / den);
+
+        // Confidence: neighbourhood fill × rating agreement.
         let fill = neighbors.len() as f64 / self.config.k as f64;
         let mean_rating = neighbors.iter().map(|n| n.rating).sum::<f64>() / neighbors.len() as f64;
         let var = neighbors
@@ -389,107 +495,74 @@ impl UserKnn {
         let span = ctx.ratings.scale().span();
         let agreement = 1.0 - (var.sqrt() / (span / 2.0)).min(1.0);
         let confidence = Confidence::new(fill.min(1.0) * (0.3 + 0.7 * agreement));
-        Some(Scored {
-            item,
-            prediction: Prediction::new(score, confidence),
-        })
+
+        Ok(Prediction::new(score, confidence))
     }
 
-    /// The trait-default ranking (predict every unrated item through
-    /// the per-pair path), duplicated here because overriding
-    /// [`Recommender::recommend`] hides the default body.
-    fn recommend_brute(&self, ctx: &Ctx<'_>, user: UserId, n: usize) -> Vec<Scored> {
-        let scan = exrec_obs::profile::phase("scan");
-        let mut scored: Vec<Scored> = ctx
-            .catalog
-            .ids()
-            .filter(|&i| ctx.ratings.rating(user, i).is_none())
-            .filter_map(|i| {
-                self.predict(ctx, user, i).ok().map(|prediction| Scored {
-                    item: i,
-                    prediction,
-                })
-            })
-            .collect();
-        drop(scan);
-        let _rank = exrec_obs::profile::phase("rank");
-        scored.sort_by(|a, b| {
-            b.prediction
-                .score
-                .partial_cmp(&a.prediction.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.item.cmp(&b.item))
-        });
-        scored.truncate(n);
-        scored
-    }
-
-    /// Kernel-backed ranking: one similarity scan for the whole
-    /// request, then a per-item gather — instead of one scan per
-    /// candidate item. Output matches the trait-default path
-    /// bit-for-bit in exact mode.
-    fn recommend_scanned(
+    /// Ranks the top `n` unrated items, each with the neighbourhood
+    /// that scored it: the one path behind [`Recommender::recommend`]
+    /// and [`Recommender::recommend_with_evidence`]. With a scan engine
+    /// one kernel scan serves the whole request and
+    /// [`UserKnn::gather_ranked`] builds every item's neighbourhood from
+    /// it; without one, each item runs the per-pair path. Exact mode is
+    /// bit-identical to the per-pair path.
+    fn rank(
         &self,
         ctx: &Ctx<'_>,
         user: UserId,
         n: usize,
-        handle: &ScanHandle,
-    ) -> Vec<Scored> {
+    ) -> Vec<(Scored, Vec<NeighborContribution>)> {
         let scan = exrec_obs::profile::phase("scan");
         // Out-of-range user: every per-item predict would fail its id
-        // check, so the brute path returns nothing. Match it.
+        // check, so nothing ranks.
         if user.index() >= ctx.ratings.n_users() {
             return Vec::new();
         }
-        let params = self.sim_params();
-        let csr = {
-            let _p = exrec_obs::profile::phase("csr");
-            handle.engine.csr(ctx.ratings, &params)
-        };
-        let (scan_list, pruned, fell_back) = self.scan_list_for(&csr, user, handle, None);
-        let mut sims = Vec::new();
-        let outcome = {
-            let _p = exrec_obs::profile::phase("kernel");
-            scan_similarities(
-                &csr,
-                &params,
-                user,
-                Some(&scan_list),
-                handle.engine.tile(),
-                &mut sims,
-            )
-        };
-        handle.engine.record_scan(
-            &outcome,
-            pruned.then_some((scan_list.len(), csr.n_users())),
-            fell_back,
-        );
-        let user_mean = ctx
-            .ratings
-            .user_mean(user)
-            .unwrap_or_else(|| ctx.ratings.global_mean());
+        let items: Vec<ItemId> = ctx
+            .catalog
+            .ids()
+            .filter(|&i| i.index() < ctx.ratings.n_items() && ctx.ratings.rating(user, i).is_none())
+            .collect();
+        let user_mean = user_mean(ctx, user);
         let global_mean = ctx.ratings.global_mean();
-        let mut scored: Vec<Scored> = {
-            let _p = exrec_obs::profile::phase("gather");
-            ctx.catalog
-                .ids()
-                .filter(|&i| {
-                    i.index() < ctx.ratings.n_items() && ctx.ratings.rating(user, i).is_none()
-                })
-                .filter_map(|i| self.score_item(&csr, ctx, &sims, user, i, user_mean, global_mean))
-                .collect()
+        let scored =
+            |item: ItemId, neighbors: Vec<NeighborContribution>, mean: &dyn Fn(UserId) -> f64| {
+                self.prediction_from(ctx, user, item, user_mean, &neighbors, mean)
+                    .ok()
+                    .map(|prediction| (Scored { item, prediction }, neighbors))
+            };
+        let mut ranked: Vec<(Scored, Vec<NeighborContribution>)> = match &self.scan {
+            None => {
+                let live_mean = |v: UserId| ctx.ratings.user_mean(v).unwrap_or(global_mean);
+                items
+                    .into_iter()
+                    .filter_map(|i| scored(i, self.neighbors_brute(ctx, user, i), &live_mean))
+                    .collect()
+            }
+            Some(handle) => {
+                let csr = self.csr_for(ctx, handle);
+                let sims = self.scan_sims(&csr, user, handle, None);
+                let _p = exrec_obs::profile::phase("gather");
+                let lists = self.gather_ranked(&csr, &sims, user, &items);
+                let csr_mean = |v: UserId| csr.user_mean_or(v.index(), global_mean);
+                items
+                    .into_iter()
+                    .zip(lists)
+                    .filter_map(|(i, neighbors)| scored(i, neighbors, &csr_mean))
+                    .collect()
+            }
         };
         drop(scan);
         let _rank = exrec_obs::profile::phase("rank");
-        scored.sort_by(|a, b| {
+        ranked.sort_by(|(a, _), (b, _)| {
             b.prediction
                 .score
                 .partial_cmp(&a.prediction.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.item.cmp(&b.item))
         });
-        scored.truncate(n);
-        scored
+        ranked.truncate(n);
+        ranked
     }
 
     fn check_ids(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<()> {
@@ -501,6 +574,13 @@ impl UserKnn {
         }
         Ok(())
     }
+}
+
+/// The user's mean rating, or the global mean for an empty profile.
+fn user_mean(ctx: &Ctx<'_>, user: UserId) -> f64 {
+    ctx.ratings
+        .user_mean(user)
+        .unwrap_or_else(|| ctx.ratings.global_mean())
 }
 
 /// Intersection of two sorted, deduplicated id lists, ascending.
@@ -527,58 +607,45 @@ impl Recommender for UserKnn {
     }
 
     fn recommend(&self, ctx: &Ctx<'_>, user: UserId, n: usize) -> Vec<Scored> {
-        match &self.scan {
-            Some(handle) => self.recommend_scanned(ctx, user, n, handle),
-            None => self.recommend_brute(ctx, user, n),
-        }
+        self.rank(ctx, user, n)
+            .into_iter()
+            .map(|(scored, _)| scored)
+            .collect()
+    }
+
+    /// Every ranked item carries the neighbourhood that scored it, so
+    /// explaining a ranking costs no second scan.
+    fn recommend_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        n: usize,
+    ) -> Vec<(Scored, Option<ModelEvidence>)> {
+        self.rank(ctx, user, n)
+            .into_iter()
+            .map(|(scored, neighbors)| (scored, Some(ModelEvidence::UserNeighbors { neighbors })))
+            .collect()
     }
 
     fn predict(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<Prediction> {
+        self.predict_with_evidence(ctx, user, item)
+            .map(|(prediction, _)| prediction)
+    }
+
+    /// One neighbourhood serves both the prediction and its evidence.
+    fn predict_with_evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        item: ItemId,
+    ) -> Result<(Prediction, ModelEvidence)> {
         self.check_ids(ctx, user, item)?;
-        let user_mean = ctx
-            .ratings
-            .user_mean(user)
-            .unwrap_or_else(|| ctx.ratings.global_mean());
         let neighbors = self.neighbors(ctx, user, item);
-        if neighbors.is_empty() {
-            return Err(Error::NoPrediction {
-                user,
-                item,
-                reason: "no similar users rated this item",
-            });
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for n in &neighbors {
-            let n_mean = ctx
-                .ratings
-                .user_mean(n.user)
-                .unwrap_or_else(|| ctx.ratings.global_mean());
-            num += n.similarity * (n.rating - n_mean);
-            den += n.similarity.abs();
-        }
-        if den <= 1e-12 {
-            return Err(Error::NoPrediction {
-                user,
-                item,
-                reason: "neighbour similarities cancel out",
-            });
-        }
-        let score = ctx.ratings.scale().bound(user_mean + num / den);
-
-        // Confidence: neighbourhood fill × rating agreement.
-        let fill = neighbors.len() as f64 / self.config.k as f64;
-        let mean_rating = neighbors.iter().map(|n| n.rating).sum::<f64>() / neighbors.len() as f64;
-        let var = neighbors
-            .iter()
-            .map(|n| (n.rating - mean_rating).powi(2))
-            .sum::<f64>()
-            / neighbors.len() as f64;
-        let span = ctx.ratings.scale().span();
-        let agreement = 1.0 - (var.sqrt() / (span / 2.0)).min(1.0);
-        let confidence = Confidence::new(fill.min(1.0) * (0.3 + 0.7 * agreement));
-
-        Ok(Prediction::new(score, confidence))
+        let global_mean = ctx.ratings.global_mean();
+        let live_mean = |v: UserId| ctx.ratings.user_mean(v).unwrap_or(global_mean);
+        let prediction =
+            self.prediction_from(ctx, user, item, user_mean(ctx, user), &neighbors, live_mean)?;
+        Ok((prediction, ModelEvidence::UserNeighbors { neighbors }))
     }
 
     fn evidence(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<ModelEvidence> {

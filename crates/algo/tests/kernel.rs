@@ -7,7 +7,13 @@
 //!   top-k, same scores down to the float bits, for every similarity
 //!   measure, with or without a similarity cache attached, including
 //!   the negative-`min_similarity` edge where zero-similarity raters
-//!   survive the filter.
+//!   survive the filter, tied similarities, and neighbourhoods that
+//!   never fill.
+//! * **One scan per request** — the ranking's inverted gather equals
+//!   the per-item column gather it replaced (pruned mode and multi-head
+//!   walks included),
+//!   every ranked item's evidence is the single-pair neighbourhood, and
+//!   an explained ranking makes one model call.
 //! * **Tile size is a pure performance knob** — any tile size produces
 //!   the identical exact ranking.
 //! * **Pruned mode keeps recall@k ≥ 0.99** against exact on seeded
@@ -21,14 +27,19 @@ use exrec_algo::kernel::{
     overlap_candidates, scan_similarities, union_sorted, CsrRatings, SimParams,
 };
 use exrec_algo::neighbors::top_k_stream;
+use exrec_algo::recommender::NeighborContribution;
 use exrec_algo::user_knn::UserKnnConfig;
 use exrec_algo::{
-    Ctx, IndexConfig, KernelConfig, Recommender, ScanEngine, ScanMode, Scored, Similarity,
-    TileSize, UserKnn,
+    Ctx, IndexConfig, InstrumentedRecommender, KernelConfig, ModelEvidence, Recommender,
+    ScanEngine, ScanMode, Scored, Similarity, TileSize, UserKnn,
 };
+use exrec_core::engine::Explainer;
+use exrec_core::interfaces::InterfaceId;
+use exrec_core::render::{PlainRenderer, Render};
 use exrec_data::synth::{movies, WorldConfig};
 use exrec_data::{RatingsMatrix, World};
-use exrec_types::{ItemId, UserId};
+use exrec_obs::Telemetry;
+use exrec_types::{Error, ItemId, Prediction, UserId};
 use proptest::prelude::*;
 
 fn world(n_users: usize, n_items: usize, seed: u64) -> World {
@@ -70,55 +81,414 @@ fn assert_bit_identical(a: &[Scored], b: &[Scored], label: &str) {
     }
 }
 
+fn assert_neighbors_bit_identical(
+    a: &[NeighborContribution],
+    b: &[NeighborContribution],
+    label: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{label}: neighbour count");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.user, y.user, "{label}: neighbour order");
+        assert_eq!(
+            x.similarity.to_bits(),
+            y.similarity.to_bits(),
+            "{label}: similarity bits"
+        );
+        assert_eq!(
+            x.rating.to_bits(),
+            y.rating.to_bits(),
+            "{label}: rating bits"
+        );
+    }
+}
+
+fn neighbors_of(evidence: &ModelEvidence) -> &[NeighborContribution] {
+    match evidence {
+        ModelEvidence::UserNeighbors { neighbors } => neighbors,
+        other => panic!("user-kNN evidence expected, got {}", other.kind()),
+    }
+}
+
+/// The worlds the exact-mode oracle runs on, with their `k`: a base
+/// world; the same world with 40 users duplicated, so similarities tie
+/// and only the id order separates neighbours; and `k` above every
+/// item's rater count, so no neighbourhood ever fills and the gather
+/// walks every eligible user.
+fn exact_cases() -> Vec<(&'static str, World, usize)> {
+    let base = world(150, 80, 0xC0FFEE);
+    let most_raters = base
+        .ratings
+        .items()
+        .map(|i| base.ratings.item_ratings(i).len())
+        .max()
+        .unwrap();
+    let mut ties = base.clone();
+    let n = base.ratings.n_users() as u32;
+    ties.ratings.ensure_users(n as usize + 40);
+    for c in 0..40u32 {
+        for &(item, value) in base.ratings.user_ratings(UserId(c * 3)) {
+            ties.ratings.rate(UserId(n + c), item, value).unwrap();
+        }
+    }
+    vec![
+        ("base", base.clone(), 20),
+        ("ties", ties, 20),
+        ("k beyond raters", base, most_raters + 1),
+    ]
+}
+
 /// Exact mode must reproduce the brute path bit-for-bit: every
 /// similarity measure, negative min_similarity (which admits
-/// zero-similarity raters), and a cache on the brute side.
+/// zero-similarity raters), a cache on the brute side, tied
+/// similarities and neighbourhoods that never fill.
 #[test]
 fn exact_mode_is_bit_identical_to_brute() {
-    let w = world(150, 80, 0xC0FFEE);
-    let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let users: Vec<UserId> = (0..150).step_by(7).map(|u| UserId(u as u32)).collect();
-    for similarity in [
-        Similarity::Pearson,
-        Similarity::Cosine,
-        Similarity::AdjustedCosine,
-        Similarity::Jaccard,
-    ] {
-        for min_similarity in [0.0, -2.0] {
-            let config = UserKnnConfig {
-                similarity,
-                min_similarity,
-                ..UserKnnConfig::default()
-            };
-            let brute = UserKnn::new(config.clone()).unwrap();
-            let cached = UserKnn::new(config.clone())
-                .unwrap()
-                .with_cache(Arc::new(SimilarityCache::new(CacheConfig::default())));
-            let exact = UserKnn::new(config).unwrap().with_engine(
-                engine_with(TileSize::Auto, IndexConfig::default()),
-                ScanMode::Exact,
-            );
-            for &u in &users {
-                let want = brute.recommend(&ctx, u, 10);
-                let label = format!("{similarity:?} min_sim {min_similarity} user {u}");
-                assert_bit_identical(&exact.recommend(&ctx, u, 10), &want, &label);
-                assert_bit_identical(&cached.recommend(&ctx, u, 10), &want, &label);
-                // The single-item evidence path must agree too.
-                if let Some(first) = want.first() {
-                    let bn = brute.neighbors(&ctx, u, first.item);
-                    let en = exact.neighbors(&ctx, u, first.item);
-                    assert_eq!(bn.len(), en.len(), "{label}: neighbour count");
-                    for (x, y) in bn.iter().zip(&en) {
-                        assert_eq!(x.user, y.user, "{label}: neighbour order");
-                        assert_eq!(
-                            x.similarity.to_bits(),
-                            y.similarity.to_bits(),
-                            "{label}: similarity bits"
-                        );
+    let mut saw_tie = false;
+    for (case, w, k) in exact_cases() {
+        let ctx = Ctx::new(&w.ratings, &w.catalog);
+        let users: Vec<UserId> = (0..w.ratings.n_users())
+            .step_by(7)
+            .map(|u| UserId(u as u32))
+            .collect();
+        for similarity in [
+            Similarity::Pearson,
+            Similarity::Cosine,
+            Similarity::AdjustedCosine,
+            Similarity::Jaccard,
+        ] {
+            for min_similarity in [0.0, -2.0] {
+                let config = UserKnnConfig {
+                    k,
+                    similarity,
+                    min_similarity,
+                    ..UserKnnConfig::default()
+                };
+                let brute = UserKnn::new(config.clone()).unwrap();
+                let cached = UserKnn::new(config.clone())
+                    .unwrap()
+                    .with_cache(Arc::new(SimilarityCache::new(CacheConfig::default())));
+                let exact = UserKnn::new(config).unwrap().with_engine(
+                    engine_with(TileSize::Auto, IndexConfig::default()),
+                    ScanMode::Exact,
+                );
+                for &u in &users {
+                    let want = brute.recommend(&ctx, u, 10);
+                    let label = format!("{case}: {similarity:?} min_sim {min_similarity} user {u}");
+                    assert_bit_identical(&exact.recommend(&ctx, u, 10), &want, &label);
+                    assert_bit_identical(&cached.recommend(&ctx, u, 10), &want, &label);
+                    // The single-item evidence path must agree too.
+                    if let Some(first) = want.first() {
+                        let bn = brute.neighbors(&ctx, u, first.item);
+                        let en = exact.neighbors(&ctx, u, first.item);
+                        assert_neighbors_bit_identical(&bn, &en, &label);
+                        saw_tie |= bn.windows(2).any(|p| p[0].similarity == p[1].similarity);
                     }
                 }
             }
         }
+    }
+    assert!(saw_tie, "the tie case must produce tied neighbours");
+}
+
+/// The column gather the inverted gather replaced, as a test oracle:
+/// per unrated item, the stable top-k of its raters under `sims`,
+/// scored by the mean-centred predictor; ranked by score, then id.
+fn column_gather_ranking(
+    ctx: &Ctx<'_>,
+    csr: &CsrRatings,
+    sims: &[f64],
+    config: &UserKnnConfig,
+    user: UserId,
+) -> Vec<(ItemId, f64, Vec<NeighborContribution>)> {
+    let global = ctx.ratings.global_mean();
+    let user_mean = ctx.ratings.user_mean(user).unwrap_or(global);
+    let mut ranked: Vec<_> = ctx
+        .catalog
+        .ids()
+        .filter(|&i| ctx.ratings.rating(user, i).is_none())
+        .filter_map(|item| {
+            let (users, values) = csr.col(item.index());
+            let raters = users.iter().zip(values);
+            let neighbors = top_k_stream(
+                raters
+                    .filter(|&(&v, _)| v != user.raw() && sims[v as usize] > config.min_similarity)
+                    .map(|(&v, &rating)| NeighborContribution {
+                        user: UserId(v),
+                        similarity: sims[v as usize],
+                        rating,
+                    }),
+                config.k,
+                |n| n.similarity,
+            );
+            let (mut num, mut den) = (0.0, 0.0);
+            for n in &neighbors {
+                num += n.similarity * (n.rating - csr.user_mean_or(n.user.index(), global));
+                den += n.similarity.abs();
+            }
+            let score = ctx.ratings.scale().bound(user_mean + num / den);
+            (!neighbors.is_empty() && den > 1e-12).then_some((item, score, neighbors))
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    ranked
+}
+
+/// The ranking's one scan and inverted gather must equal the column
+/// gather over the same scan list, item for item, neighbour for
+/// neighbour, bit for bit. Two cases: pruned mode on a world big enough
+/// to prune, and exact mode with every user eligible and lists that
+/// never fill, so the walk runs past its first head of 4,096 users.
+#[test]
+fn ranking_matches_the_column_gather() {
+    // All 5,999 other users pass `sim > -2` and no list reaches `k`.
+    let multi_head = UserKnnConfig {
+        k: 10_000,
+        min_similarity: -2.0,
+        ..UserKnnConfig::default()
+    };
+    let cases = [
+        (
+            world(4000, 150, 0xFEED),
+            ScanMode::Pruned,
+            UserKnnConfig::default(),
+        ),
+        (world(6000, 120, 0x5EED), ScanMode::Exact, multi_head),
+    ];
+    for (w, mode, config) in cases {
+        let (n_users, n_items) = (w.ratings.n_users(), w.ratings.n_items());
+        let ctx = Ctx::new(&w.ratings, &w.catalog);
+        let engine = engine_with(TileSize::Auto, IndexConfig::default());
+        let model = UserKnn::new(config.clone())
+            .unwrap()
+            .with_engine(Arc::clone(&engine), mode);
+        let params = SimParams {
+            similarity: config.similarity,
+            min_overlap: config.min_overlap,
+            significance: config.significance,
+        };
+        let mut sims = Vec::new();
+        for u in (0..n_users).step_by(n_users / 16) {
+            let user = UserId(u as u32);
+            let got = model.recommend_with_evidence(&ctx, user, n_items);
+            // The scan list the model builds: in pruned mode cluster
+            // probes plus the overlap pass, exact below the fallback
+            // floor.
+            let csr = engine.csr(&w.ratings, &params);
+            let mut list: Vec<u32> = (0..n_users as u32).collect();
+            if mode == ScanMode::Pruned {
+                let budget = engine.index_config().resolve_budget(n_users);
+                let candidates = union_sorted(
+                    &engine.index(&csr).candidates(&csr, user.raw()),
+                    &overlap_candidates(&csr, user, budget),
+                );
+                if candidates.len() >= engine.fallback_floor(config.k) {
+                    list = candidates;
+                }
+            }
+            scan_similarities(&csr, &params, user, Some(&list), engine.tile(), &mut sims);
+            let want = column_gather_ranking(&ctx, &csr, &sims, &config, user);
+            let label = format!("{} user {u}", mode.name());
+            assert_eq!(got.len(), want.len(), "{label}: ranked items");
+            for ((scored, evidence), (item, score, neighbors)) in got.iter().zip(&want) {
+                let label = format!("{label} item {item:?}");
+                assert_eq!(scored.item, *item, "{label}: item order");
+                assert_eq!(
+                    scored.prediction.score.to_bits(),
+                    score.to_bits(),
+                    "{label}"
+                );
+                let evidence = evidence.as_ref().expect("user-kNN ranks with evidence");
+                assert_neighbors_bit_identical(neighbors_of(evidence), neighbors, &label);
+            }
+        }
+        if mode == ScanMode::Pruned {
+            let stats = engine.stats();
+            assert!(stats.pruned_scans > 0, "the world must prune: {stats:?}");
+        }
+    }
+}
+
+/// Every ranked item carries the neighbourhood `neighbors` computes for
+/// that pair alone, bit for bit, on every scan path; and the ranking is
+/// `recommend`'s.
+#[test]
+fn ranked_evidence_equals_single_pair_neighbors() {
+    let small = world(150, 80, 0xC0FFEE);
+    let big = world(4000, 150, 0xFEED);
+    let engine = || engine_with(TileSize::Auto, IndexConfig::default());
+    let cases = [
+        ("brute", &small, UserKnn::default()),
+        (
+            "exact",
+            &small,
+            UserKnn::default().with_engine(engine(), ScanMode::Exact),
+        ),
+        (
+            "pruned",
+            &big,
+            UserKnn::default().with_engine(engine(), ScanMode::Pruned),
+        ),
+    ];
+    for (case, w, model) in cases {
+        let ctx = Ctx::new(&w.ratings, &w.catalog);
+        let n_users = w.ratings.n_users();
+        for u in (0..n_users).step_by(n_users / 12) {
+            let user = UserId(u as u32);
+            let ranked = model.recommend_with_evidence(&ctx, user, 20);
+            let scored: Vec<Scored> = ranked.iter().map(|(s, _)| *s).collect();
+            let label = format!("{case} user {u}");
+            assert_bit_identical(&scored, &model.recommend(&ctx, user, 20), &label);
+            for (s, evidence) in &ranked {
+                let evidence = evidence.as_ref().expect("user-kNN ranks with evidence");
+                let single = model.neighbors(&ctx, user, s.item);
+                assert_neighbors_bit_identical(neighbors_of(evidence), &single, &label);
+            }
+        }
+    }
+}
+
+/// `predict_with_evidence` is `predict` then `evidence` in one call:
+/// the same prediction, evidence and errors, both `NoPrediction`
+/// reasons and the id-range errors included.
+#[test]
+fn predict_with_evidence_equals_predict_then_evidence() {
+    let mut w = world(60, 40, 0xE71D);
+    // User 60 rates only item 40, which nobody else rated: it shares no
+    // co-rating with anyone, so its similarity is exactly 0. Item 41 has
+    // no raters at all.
+    w.ratings.ensure_users(61);
+    w.ratings.ensure_items(42);
+    w.ratings.rate(UserId(60), ItemId(40), 4.0).unwrap();
+    let ctx = Ctx::new(&w.ratings, &w.catalog);
+    let mut reasons = std::collections::BTreeSet::new();
+    for min_similarity in [0.0, -2.0] {
+        let config = UserKnnConfig {
+            min_similarity,
+            ..UserKnnConfig::default()
+        };
+        let engine = || engine_with(TileSize::Auto, IndexConfig::default());
+        let models = [
+            UserKnn::new(config.clone()).unwrap(),
+            UserKnn::new(config.clone())
+                .unwrap()
+                .with_engine(engine(), ScanMode::Exact),
+            UserKnn::new(config)
+                .unwrap()
+                .with_engine(engine(), ScanMode::Pruned),
+        ];
+        for model in &models {
+            for u in (0..62u32).step_by(3).chain([99]) {
+                for i in (0..42u32).chain([99]) {
+                    let (user, item) = (UserId(u), ItemId(i));
+                    let got = model.predict_with_evidence(&ctx, user, item);
+                    let want: Result<(Prediction, ModelEvidence), Error> = model
+                        .predict(&ctx, user, item)
+                        .and_then(|p| model.evidence(&ctx, user, item).map(|e| (p, e)));
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "user {u} item {i}");
+                    if let Err(Error::NoPrediction { reason, .. }) = got {
+                        reasons.insert(reason);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        reasons.len(),
+        2,
+        "both NoPrediction reasons must occur: {reasons:?}"
+    );
+}
+
+/// A user-kNN that leaves evidence reuse off: the trait defaults gather
+/// every ranked item's evidence with a separate `evidence` call.
+struct PerItemEvidence(UserKnn);
+
+impl Recommender for PerItemEvidence {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn predict(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        item: ItemId,
+    ) -> exrec_types::Result<Prediction> {
+        self.0.predict(ctx, user, item)
+    }
+    fn evidence(
+        &self,
+        ctx: &Ctx<'_>,
+        user: UserId,
+        item: ItemId,
+    ) -> exrec_types::Result<ModelEvidence> {
+        self.0.evidence(ctx, user, item)
+    }
+    fn recommend(&self, ctx: &Ctx<'_>, user: UserId, n: usize) -> Vec<Scored> {
+        self.0.recommend(ctx, user, n)
+    }
+}
+
+/// An explained ranking over an instrumented user-kNN makes one model
+/// call, and explains exactly what the bare model and the per-item
+/// evidence path explain: same items, same rendered text.
+#[test]
+fn explained_ranking_is_one_model_call() {
+    let w = world(150, 80, 0xC0FFEE);
+    let ctx = Ctx::new(&w.ratings, &w.catalog);
+    let obs = Telemetry::default();
+    let bare = UserKnn::default().with_engine(
+        engine_with(TileSize::Auto, IndexConfig::default()),
+        ScanMode::Exact,
+    );
+    let counted = InstrumentedRecommender::new(bare.clone(), &obs);
+    let per_item = PerItemEvidence(bare.clone());
+    let model_calls = || {
+        let report = obs.report();
+        report.counters["algo.recommend.user-knn"]
+            + report.counters["algo.predict.user-knn"]
+            + report.counters["algo.predict_err.user-knn"]
+            + report.histograms["algo.evidence_ns.user-knn"].count
+    };
+    let interface = InterfaceId::ClusteredHistogram;
+    let rendered = |explained: Vec<(Scored, exrec_core::explanation::Explanation)>| {
+        explained
+            .iter()
+            .map(|(s, e)| {
+                (
+                    s.item,
+                    s.prediction.score.to_bits(),
+                    PlainRenderer.render(e),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    for u in (0..150u32).step_by(11) {
+        let user = UserId(u);
+        let before = model_calls();
+        let got = rendered(Explainer::new(&counted, interface).recommend_explained(&ctx, user, 5));
+        assert_eq!(
+            model_calls() - before,
+            1,
+            "user {u}: model calls per explained ranking"
+        );
+        assert!(!got.is_empty(), "user {u}: something to explain");
+        let bare_text =
+            rendered(Explainer::new(&bare, interface).recommend_explained(&ctx, user, 5));
+        let per_item_text =
+            rendered(Explainer::new(&per_item, interface).recommend_explained(&ctx, user, 5));
+        assert_eq!(got, bare_text, "user {u}: bare model");
+        assert_eq!(got, per_item_text, "user {u}: per-item evidence");
+
+        // A single-pair explain is one call too.
+        let item = got[0].0;
+        let before = model_calls();
+        let explained = Explainer::new(&counted, interface).explain(&ctx, user, item);
+        assert!(explained.is_ok());
+        assert_eq!(
+            model_calls() - before,
+            1,
+            "user {u}: model calls per explain"
+        );
     }
 }
 

@@ -54,7 +54,8 @@ impl<'r> Explainer<'r> {
     }
 
     /// Attaches a telemetry handle. The explainer then records, per
-    /// call: evidence-gathering latency (`explain.evidence_ns`), which
+    /// call: evidence-gathering latency (`explain.evidence_ns`, for
+    /// each model call that produces evidence), which
     /// interface fired (`explain.fired.<key>`), and how often generation
     /// aborted for lack of evidence (`explain.abort.missing_evidence`).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -72,15 +73,15 @@ impl<'r> Explainer<'r> {
         self.interface = interface;
     }
 
-    /// Gathers model evidence, timing it when telemetry is attached.
-    /// Inside a request trace it also emits an `explain.evidence` span
-    /// (backdated over the gathering), so evidence cost shows up in the
-    /// request's span tree; the `explain.evidence_ns` histogram is
-    /// recorded either way.
-    fn gather_evidence(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<ModelEvidence> {
+    /// Runs one evidence-producing model call, timing it when telemetry
+    /// is attached: the `evidence` profiler phase, the
+    /// `explain.evidence_ns` histogram and, inside a request trace, an
+    /// `explain.evidence` span (backdated over the call) so evidence
+    /// cost shows up in the request's span tree.
+    fn timed_evidence<T>(&self, user: UserId, item: ItemId, call: impl FnOnce() -> T) -> T {
         let _phase = exrec_obs::profile::phase("evidence");
         let started = Instant::now();
-        let evidence = self.recommender.evidence(ctx, user, item);
+        let out = call();
         if let Some(t) = &self.telemetry {
             t.metrics()
                 .histogram("explain.evidence_ns")
@@ -90,7 +91,7 @@ impl<'r> Explainer<'r> {
                     .started_at(started);
             }
         }
-        evidence
+        out
     }
 
     /// Runs the interface on gathered evidence, recording fire/abort
@@ -126,23 +127,16 @@ impl<'r> Explainer<'r> {
         user: UserId,
         item: ItemId,
     ) -> Result<(Prediction, Explanation)> {
-        let prediction = self.recommender.predict(ctx, user, item)?;
-        let evidence = self.gather_evidence(ctx, user, item)?;
-        let input = ExplainInput {
-            ctx,
-            user,
-            item,
-            prediction,
-            evidence: &evidence,
-        };
-        let explanation = self.generate(&input)?;
-        Ok((prediction, explanation))
+        self.explain_with_evidence(ctx, user, item)
+            .map(|(prediction, explanation, _)| (prediction, explanation))
     }
 
     /// Top-n recommendations, each with its explanation. Items whose
     /// explanation cannot be generated are skipped (a recommendation the
     /// system cannot justify is withheld — the survey's transparency aim
-    /// taken seriously).
+    /// taken seriously). Evidence comes from the ranking itself where
+    /// the model supplies it ([`Recommender::recommend_with_evidence`]);
+    /// only the other items make a separate evidence call.
     pub fn recommend_explained(
         &self,
         ctx: &Ctx<'_>,
@@ -154,10 +148,17 @@ impl<'r> Explainer<'r> {
             .as_ref()
             .map(|t| exrec_obs::span!(t, "recommend_explained", interface = self.interface.key()));
         self.recommender
-            .recommend(ctx, user, n * 2)
+            .recommend_with_evidence(ctx, user, n * 2)
             .into_iter()
-            .filter_map(|scored| {
-                let evidence = self.gather_evidence(ctx, user, scored.item).ok()?;
+            .filter_map(|(scored, evidence)| {
+                let evidence = match evidence {
+                    Some(evidence) => evidence,
+                    None => self
+                        .timed_evidence(user, scored.item, || {
+                            self.recommender.evidence(ctx, user, scored.item)
+                        })
+                        .ok()?,
+                };
                 let input = ExplainInput {
                     ctx,
                     user,
@@ -177,6 +178,8 @@ impl<'r> Explainer<'r> {
     /// callers can ablate the cited evidence
     /// ([`crate::quality::ablation_fidelity`]) or measure how much of it
     /// the explanation surfaces ([`crate::quality::evidence_coverage`]).
+    /// The prediction and its evidence come from one
+    /// [`Recommender::predict_with_evidence`] call.
     ///
     /// # Errors
     ///
@@ -187,8 +190,9 @@ impl<'r> Explainer<'r> {
         user: UserId,
         item: ItemId,
     ) -> Result<(Prediction, Explanation, ModelEvidence)> {
-        let prediction = self.recommender.predict(ctx, user, item)?;
-        let evidence = self.gather_evidence(ctx, user, item)?;
+        let (prediction, evidence) = self.timed_evidence(user, item, || {
+            self.recommender.predict_with_evidence(ctx, user, item)
+        })?;
         let input = ExplainInput {
             ctx,
             user,

@@ -4,7 +4,7 @@
 //! Everything the handlers do is a thin adapter over existing pipeline
 //! pieces: ranking goes through `BatchPool::recommend_batch`, explained
 //! ranking through [`Explainer::recommend_explained_batch`], single-pair
-//! explanations through [`Explainer::explain`]. The app adds the
+//! explanations through [`Explainer::explain_with_evidence`]. The app adds the
 //! serving-boundary concerns those APIs deliberately do not have:
 //! request validation, deadline checks between work units, per-aim edge
 //! telemetry, and (test-gated) fault injection.
@@ -572,41 +572,25 @@ impl ExplainApp {
         let ctx = Ctx::new(&world.ratings, &world.catalog);
         let explainer =
             Explainer::new(&self.model, interface).with_telemetry(self.telemetry.clone());
-        let aim_echo = aim.map(|a| a.name().to_ascii_lowercase());
-        // On sampled requests the evidence-carrying path runs so the
-        // quality probe can measure coverage/fidelity on data already
-        // in hand; unsampled requests keep the lean path.
-        if self.monitor.should_sample() {
-            match explainer.explain_with_evidence(&ctx, user, item) {
-                Ok((prediction, explanation, evidence)) => {
-                    self.record_quality(&world.ratings, interface, &explanation, &evidence, user);
-                    Ok(ExplainResponse {
-                        user: req.user,
-                        item: req.item,
-                        score: prediction.score,
-                        confidence: prediction.confidence.value(),
-                        aim: aim_echo,
-                        explanation: self.shape_explanation(&explanation),
-                    })
-                }
-                Err(e) => Err(AppError::Unprocessable(e.to_string())),
-            }
-        } else {
-            match explainer.explain(&ctx, user, item) {
-                Ok((prediction, explanation)) => Ok(ExplainResponse {
-                    user: req.user,
-                    item: req.item,
-                    score: prediction.score,
-                    confidence: prediction.confidence.value(),
-                    aim: aim_echo,
-                    explanation: self.shape_explanation(&explanation),
-                }),
-                // MissingEvidence (interface/model mismatch) and
-                // NoPrediction (cold pair) are both "valid ids, no
-                // answer": 422.
-                Err(e) => Err(AppError::Unprocessable(e.to_string())),
-            }
+        // Evidence comes with every explanation, so the 1-in-N quality
+        // sample only decides whether the probe runs on it.
+        let sampled = self.monitor.should_sample();
+        // MissingEvidence (interface/model mismatch) and NoPrediction
+        // (cold pair) are both "valid ids, no answer": 422.
+        let (prediction, explanation, evidence) = explainer
+            .explain_with_evidence(&ctx, user, item)
+            .map_err(|e| AppError::Unprocessable(e.to_string()))?;
+        if sampled {
+            self.record_quality(&world.ratings, interface, &explanation, &evidence, user);
         }
+        Ok(ExplainResponse {
+            user: req.user,
+            item: req.item,
+            score: prediction.score,
+            confidence: prediction.confidence.value(),
+            aim: aim.map(|a| a.name().to_ascii_lowercase()),
+            explanation: self.shape_explanation(&explanation),
+        })
     }
 
     /// Handles `POST /v1/rate`: one journaled rating write (or retract,

@@ -1,6 +1,7 @@
 //! Integration tests for the serving edge, over real loopback sockets:
-//! every endpoint, load-shedding, deadlines, panic isolation and
-//! graceful drain — the acceptance behaviours of the subsystem.
+//! every endpoint, load-shedding, deadlines, panic isolation, graceful
+//! drain and hostile bodies — the acceptance behaviours of the
+//! subsystem.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -362,5 +363,23 @@ fn idle_keepalive_connections_are_reaped() {
 
     let report = handle.telemetry().report();
     assert!(report.counters["serve.idle_reaped"] >= 1);
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    let handle = start_server(|_, _| {});
+    let mut client = Client::connect(handle.addr());
+
+    // 20 KB of `[`: far under the body cap, and deep enough to overflow
+    // a worker's stack in a parser without a nesting limit.
+    let body = "[".repeat(20_000);
+    let response = client.roundtrip("POST", "/v1/recommend", Some(&body));
+    assert_eq!(response.status, 400);
+    assert!(response.body.contains("bad_request"));
+
+    // The process survived: a fresh connection still gets answers.
+    let mut fresh = Client::connect(handle.addr());
+    assert_eq!(fresh.roundtrip("GET", "/healthz", None).status, 200);
     handle.shutdown();
 }

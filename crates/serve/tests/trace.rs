@@ -3,7 +3,8 @@
 //!
 //! * A traced `POST /v1/recommend` reconstructs as a complete span tree
 //!   (edge → queue → batch worker → explainer) from the flushed trace,
-//!   and the `x-exrec-trace-id` response header carries the tree's id.
+//!   and the `x-exrec-trace-id` response header carries the tree's id;
+//!   a traced `POST /v1/explain` carries its one evidence call.
 //! * A fast request below the tail threshold flushes nothing while the
 //!   `slo.*` window gauges still advance.
 //! * `/healthz` exposes backpressure (queue/worker saturation) and the
@@ -223,10 +224,11 @@ fn recommend_request_reconstructs_as_one_span_tree() {
             "recommend_explained parents onto a batch span"
         );
     }
-    let evidence = by_name("explain.evidence");
+    // The ranking hands every item its neighbourhood, so an explained
+    // recommend gathers no evidence of its own.
     assert!(
-        !evidence.is_empty(),
-        "evidence gathering appears in the tree"
+        by_name("explain.evidence").is_empty(),
+        "ranked items reuse the ranking's evidence"
     );
 
     // Timeline: children start at or after the root's start offset.
@@ -241,6 +243,35 @@ fn recommend_request_reconstructs_as_one_span_tree() {
     // The root flushes last (tail sampling forwards buffered children
     // first), so a consumer can key the flush on root arrival.
     assert_eq!(spans.last().unwrap().name, "serve.request");
+
+    // A single-pair explain gathers its evidence in one timed model
+    // call, and that call appears in the explain's own tree.
+    let response = roundtrip(
+        handle.addr(),
+        "POST",
+        "/v1/explain",
+        Some(r#"{"user": 0, "item": 1}"#),
+        None,
+    );
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let explain_hex = response
+        .header("x-exrec-trace-id")
+        .expect("every routed response carries its trace id")
+        .to_owned();
+    let explain_spans = trace_spans(&collector.events(), &explain_hex);
+    let explain_ids: std::collections::BTreeSet<&str> = explain_spans
+        .iter()
+        .filter_map(|s| s.span_id.as_deref())
+        .collect();
+    let evidence: Vec<&SpanEvent> = explain_spans
+        .iter()
+        .filter(|s| s.name == "explain.evidence")
+        .collect();
+    assert_eq!(evidence.len(), 1, "one evidence call per explain");
+    assert!(
+        explain_ids.contains(evidence[0].parent_id.as_deref().unwrap()),
+        "evidence hangs off the explain's tree"
+    );
 
     handle.shutdown();
 }
