@@ -14,7 +14,10 @@
 //! 3. **Control:** restart once more. This time the world loads from
 //!    the compaction snapshot (`snapshot_loaded`, `replayed == 0`) —
 //!    the clean-shutdown control — and must again serve byte-identical
-//!    bodies.
+//!    bodies. Then hostile requests (deeply nested JSON, a chunked body
+//!    and conflicting `Content-Length`s, each hiding a second request)
+//!    must each get one 400 and a close, after which `/healthz` answers,
+//!    the bodies are unchanged and SIGTERM still exits cleanly.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -84,24 +87,30 @@ fn spawn_serve(wal: &std::path::Path) -> Server {
     Server { child, addr }
 }
 
-/// One request on a fresh connection; returns `(status, body)`.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+/// Opens a fresh connection and sends `raw` on it.
+fn send_raw(addr: SocketAddr, raw: &[u8]) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
-    let mut writer = stream.try_clone().expect("clone stream");
-    writer
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: crash-smoke\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
+    stream
+        .write_all(raw)
         .unwrap_or_else(|e| fail(&format!("send: {e}")));
-    let mut reader = BufReader::new(stream);
+    BufReader::new(stream)
+}
+
+/// One request on a fresh connection; returns `(status, body)`.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let raw = format!(
+        "{method} {path} HTTP/1.1\r\nhost: crash-smoke\r\nconnection: close\r\n\
+         content-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    read_response(&mut send_raw(addr, raw.as_bytes()))
+}
+
+/// Reads one response; returns `(status, body)`.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
     let mut status_line = String::new();
     reader
         .read_line(&mut status_line)
@@ -149,6 +158,68 @@ fn debug_ingest(addr: SocketAddr) -> serde_json::Value {
         fail(&format!("GET /debug/ingest -> {status}"));
     }
     serde_json::from_str(&body).unwrap_or_else(|e| fail(&format!("/debug/ingest parse: {e}")))
+}
+
+/// Requests a sound edge must refuse: 20,000 nested `[` (a stack
+/// overflow in a parser without a depth limit), and two bodies whose
+/// framing hides a `GET /healthz` that a parser ignoring
+/// `Transfer-Encoding`, or taking the first of two `Content-Length`s,
+/// would answer as a second request.
+fn hostile_requests() -> [(&'static str, String); 3] {
+    let nested = "[".repeat(20_000);
+    [
+        (
+            "nested JSON",
+            format!(
+                "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\nconnection: close\r\n\
+                 content-length: {}\r\n\r\n{nested}",
+                nested.len()
+            ),
+        ),
+        (
+            "chunked body",
+            "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\n\
+             transfer-encoding: chunked\r\n\r\nGET /healthz HTTP/1.1\r\nhost: crash-smoke\r\n\r\n"
+                .to_owned(),
+        ),
+        (
+            "conflicting content-length",
+            "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\ncontent-length: 2\r\n\
+             content-length: 40\r\n\r\n{}GET /healthz HTTP/1.1\r\nhost: crash-smoke\r\n\r\n"
+                .to_owned(),
+        ),
+    ]
+}
+
+/// Sends each hostile request alone on a fresh connection. Each must get
+/// exactly one 400, after which the server closes the connection.
+fn refuse_hostile_requests(addr: SocketAddr) {
+    for (label, raw) in hostile_requests() {
+        let mut reader = send_raw(addr, raw.as_bytes());
+        let (status, body) = read_response(&mut reader);
+        if status != 400 {
+            fail(&format!("{label}: wanted 400, got {status}: {body}"));
+        }
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut rest = Vec::new();
+        let closed = reader.read_to_end(&mut rest);
+        if !rest.is_empty() {
+            fail(&format!(
+                "{label}: a second response followed the 400: {:?}",
+                String::from_utf8_lossy(&rest)
+            ));
+        }
+        match closed {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            Err(e) => fail(&format!(
+                "{label}: connection still open after the 400: {e}"
+            )),
+        }
+    }
 }
 
 /// SIGTERM the child and wait for a clean exit (the drain compacts).
@@ -246,6 +317,18 @@ fn main() {
     let control = post_ok(server.addr, "/v1/recommend", PROBE);
     if control != live {
         fail("clean-shutdown restart served different recommendations than the live world");
+    }
+
+    // Hostile input: each refused with one 400 and a close, and the
+    // process keeps serving the same world.
+    eprintln!("[crash_smoke] life 3: hostile requests");
+    refuse_hostile_requests(server.addr);
+    let (status, _) = request(server.addr, "GET", "/healthz", "");
+    if status != 200 {
+        fail(&format!("GET /healthz -> {status} after hostile requests"));
+    }
+    if post_ok(server.addr, "/v1/recommend", PROBE) != live {
+        fail("recommendations changed after hostile requests");
     }
     terminate(server);
 

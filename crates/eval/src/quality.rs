@@ -22,7 +22,9 @@
 //!   first catalog interface declaring the aim), which is how the
 //!   registry's aim-fit selection earns its keep.
 //!
-//! Everything is seed-deterministic, and [`run`] fans interfaces out
+//! Everything is seed-deterministic. Scoring is one walk per model
+//! group: each sampled pair costs one model call, whose evidence feeds
+//! every interface the model serves. [`run`] fans the four walks out
 //! over the work-stealing pool — results are identical at any thread
 //! count. The `repro --offline-metrics` binary wraps [`run`] and writes
 //! the schema-versioned `quality_report.json` that `benchdiff` diffs.
@@ -34,9 +36,8 @@ use exrec_algo::item_knn::{ItemKnn, ItemKnnConfig};
 use exrec_algo::knowledge::{Constraint, Maut, Requirement};
 use exrec_algo::{Ctx, ModelEvidence, Recommender, UserKnn};
 use exrec_core::aims::Aim;
-use exrec_core::engine::Explainer;
-use exrec_core::interfaces::{EvidenceNeed, InterfaceId};
-use exrec_core::quality::{QualityProbe, MAX_PROVENANCE_DEPTH};
+use exrec_core::interfaces::{EvidenceNeed, ExplainInput, InterfaceId};
+use exrec_core::quality::{ablation_fidelity, QualityProbe, MAX_PROVENANCE_DEPTH};
 use exrec_data::synth::{cameras, movies, WorldConfig};
 use exrec_data::World;
 use exrec_types::{ItemId, UserId};
@@ -417,104 +418,136 @@ pub fn evidence_relevance(
     }
 }
 
-/// Scores one interface against one (world, model) pairing.
+/// Running sums for one interface during a [`walk`].
+struct Tally {
+    q: InterfaceQuality,
+    pr_samples: usize,
+}
+
+impl Tally {
+    /// Turns the sums into means; F1 is taken of the mean precision and
+    /// recall.
+    fn finish(self) -> InterfaceQuality {
+        let Tally { mut q, pr_samples } = self;
+        if q.samples > 0 {
+            let n = q.samples as f64;
+            q.fidelity /= n;
+            q.coverage /= n;
+            q.provenance_depth /= n;
+            q.reading_cost /= n;
+        }
+        if pr_samples > 0 {
+            q.evidence_precision /= pr_samples as f64;
+            q.evidence_recall /= pr_samples as f64;
+            let (p, r) = (q.evidence_precision, q.evidence_recall);
+            if p + r > 1e-12 {
+                q.evidence_f1 = 2.0 * p * r / (p + r);
+            }
+        }
+        q
+    }
+}
+
+/// Scores `ids` against one (world, model) pairing in a single walk
+/// over the sampled pairs.
 ///
-/// Samples deterministic `(user, item)` pairs — users in id order,
-/// their first unrated items with at least one rater — until
-/// `config.sample_pairs` explanations are generated or the candidates
-/// run out. Pairs the interface cannot explain (evidence mismatch) are
-/// skipped; an interface the model can never feed scores zero samples.
-pub fn score_interface(
+/// Pairs come in a fixed order — users with at least two ratings in id
+/// order, each with their first two unrated items that have a rater —
+/// and the model predicts each pair once. Every interface still short
+/// of `config.sample_pairs` explanations then tries that pair's
+/// evidence; pairs it cannot explain (evidence mismatch) are skipped.
+/// The walk stops once every interface is full or after
+/// `10 × sample_pairs` pairs, so each interface's sums grow exactly as
+/// they would on a walk of its own, and an interface the model can
+/// never feed scores zero samples.
+fn walk(
     world: &World,
     model: &(dyn Recommender + Sync),
-    id: InterfaceId,
+    ids: &[InterfaceId],
     config: &QualityConfig,
-) -> InterfaceQuality {
-    let ctx = Ctx::new(&world.ratings, &world.catalog);
-    let explainer = Explainer::new(model, id);
-    let span = world.ratings.scale().span();
+) -> Vec<InterfaceQuality> {
+    let ratings = &world.ratings;
+    let ctx = Ctx::new(ratings, &world.catalog);
+    let span = ratings.scale().span();
+    let pairs = ratings
+        .users()
+        .filter(|&user| ratings.user_ratings(user).len() >= 2)
+        .flat_map(|user| {
+            world
+                .catalog
+                .ids()
+                .filter(move |&item| {
+                    ratings.rating(user, item).is_none() && !ratings.item_ratings(item).is_empty()
+                })
+                .take(2)
+                .map(move |item| (user, item))
+        });
 
-    let mut q = InterfaceQuality::empty(id);
-    let mut pr_samples = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = config.sample_pairs * 10;
-
-    'outer: for user in world.ratings.users() {
-        if world.ratings.user_ratings(user).len() < 2 {
-            continue;
+    let mut tallies: Vec<Tally> = ids
+        .iter()
+        .map(|&id| Tally {
+            q: InterfaceQuality::empty(id),
+            pr_samples: 0,
+        })
+        .collect();
+    for (user, item) in pairs.take(config.sample_pairs * 10) {
+        if tallies.iter().all(|t| t.q.samples >= config.sample_pairs) {
+            break;
         }
-        let mut taken = 0usize;
-        for item in world.catalog.ids() {
-            if q.samples >= config.sample_pairs || attempts >= max_attempts {
-                break 'outer;
-            }
-            if taken >= 2 {
-                break;
-            }
-            if world.ratings.rating(user, item).is_some()
-                || world.ratings.item_ratings(item).is_empty()
-            {
+        let Ok((prediction, evidence)) = model.predict_with_evidence(&ctx, user, item) else {
+            continue;
+        };
+        let input = ExplainInput {
+            ctx: &ctx,
+            user,
+            item,
+            prediction,
+            evidence: &evidence,
+        };
+        let baseline = ratings
+            .user_mean(user)
+            .unwrap_or_else(|| ratings.global_mean());
+        // Fidelity and relevance depend on the pair's evidence alone.
+        let mut shared = None;
+        for (id, t) in ids.iter().zip(&mut tallies) {
+            if t.q.samples >= config.sample_pairs {
                 continue;
             }
-            taken += 1;
-            attempts += 1;
-            let Ok((_, explanation, evidence)) = explainer.explain_with_evidence(&ctx, user, item)
-            else {
+            let Ok(explanation) = id.generate(&input) else {
                 continue;
             };
-            let baseline = world
-                .ratings
-                .user_mean(user)
-                .unwrap_or_else(|| world.ratings.global_mean());
+            let (fidelity, relevance) = *shared.get_or_insert_with(|| {
+                (
+                    ablation_fidelity(&evidence, config.ablate_top, baseline, span),
+                    evidence_relevance(world, user, item, &evidence),
+                )
+            });
             let probe = QualityProbe::measure(&explanation, &evidence, baseline, span);
-            q.samples += 1;
-            q.fidelity += exrec_core::quality::ablation_fidelity(
-                &evidence,
-                config.ablate_top,
-                baseline,
-                span,
-            );
-            q.coverage += probe.coverage;
-            q.provenance_depth += probe.provenance_depth as f64;
-            q.reading_cost += explanation.reading_cost() as f64;
-            if let Some((precision, recall)) = evidence_relevance(world, user, item, &evidence) {
-                pr_samples += 1;
-                q.evidence_precision += precision;
-                q.evidence_recall += recall;
+            t.q.samples += 1;
+            t.q.fidelity += fidelity;
+            t.q.coverage += probe.coverage;
+            t.q.provenance_depth += probe.provenance_depth as f64;
+            t.q.reading_cost += explanation.reading_cost() as f64;
+            if let Some((precision, recall)) = relevance {
+                t.pr_samples += 1;
+                t.q.evidence_precision += precision;
+                t.q.evidence_recall += recall;
             }
         }
     }
-
-    if q.samples > 0 {
-        let n = q.samples as f64;
-        q.fidelity /= n;
-        q.coverage /= n;
-        q.provenance_depth /= n;
-        q.reading_cost /= n;
-    }
-    if pr_samples > 0 {
-        q.evidence_precision /= pr_samples as f64;
-        q.evidence_recall /= pr_samples as f64;
-        let (p, r) = (q.evidence_precision, q.evidence_recall);
-        if p + r > 1e-12 {
-            q.evidence_f1 = 2.0 * p * r / (p + r);
-        }
-    }
-    q
+    tallies.into_iter().map(Tally::finish).collect()
 }
 
 /// Scores every registered interface against a single (world, model)
 /// pairing — the serving edge's view, where one model feeds all
-/// interfaces. Interfaces the model cannot feed report zero samples.
+/// interfaces — in one walk: each sampled pair costs one model call.
+/// Interfaces the model cannot feed report zero samples.
 pub fn score_interfaces(
     world: &World,
     model: &(dyn Recommender + Sync),
     config: &QualityConfig,
 ) -> Vec<InterfaceQuality> {
-    InterfaceId::ALL
-        .into_iter()
-        .map(|id| score_interface(world, model, id, config))
-        .collect()
+    walk(world, model, &InterfaceId::ALL, config)
 }
 
 /// Runs the full offline suite: every registered interface scored with
@@ -522,10 +555,10 @@ pub fn score_interfaces(
 /// exercises it (movies for CF/content, cameras for knowledge-based
 /// utility), then aggregated per aim.
 ///
-/// Interfaces fan out over `threads` workers
-/// ([`exrec_algo::batch::parallel_map`]); each interface's score is a
-/// pure function of the config, so the report is identical at any
-/// thread count.
+/// Interfaces are grouped by the model that feeds them, and the four
+/// walks fan out over `threads` workers
+/// ([`exrec_algo::batch::parallel_map`]); each walk is a pure function
+/// of the config, so the report is identical at any thread count.
 pub fn run(config: &QualityConfig, threads: usize) -> QualityReport {
     let world = movies::generate(&WorldConfig {
         n_users: config.n_users,
@@ -553,20 +586,32 @@ pub fn run(config: &QualityConfig, threads: usize) -> QualityReport {
     ])
     .expect("positive weights");
 
-    let ids: Vec<InterfaceId> = InterfaceId::ALL.to_vec();
-    let interfaces = exrec_algo::batch::parallel_map(threads, &ids, |_, &id| {
-        // Pair each interface with the model family that feeds its
-        // declared evidence need; `Any` interfaces score against the
-        // serving default (user-kNN).
-        match id.descriptor().needs {
-            EvidenceNeed::UserNeighbors | EvidenceNeed::Any => {
-                score_interface(&world, &user_knn, id, config)
-            }
-            EvidenceNeed::ItemNeighbors => score_interface(&world, &item_knn, id, config),
-            EvidenceNeed::Content => score_interface(&world, &tfidf, id, config),
-            EvidenceNeed::Utility => score_interface(&camera_world, &maut, id, config),
-        }
+    // Pair each interface with the model family that feeds its declared
+    // evidence need; `Any` interfaces score against the serving default
+    // (user-kNN).
+    let group = |id: InterfaceId| match id.descriptor().needs {
+        EvidenceNeed::UserNeighbors | EvidenceNeed::Any => 0,
+        EvidenceNeed::ItemNeighbors => 1,
+        EvidenceNeed::Content => 2,
+        EvidenceNeed::Utility => 3,
+    };
+    let models: [(&World, &(dyn Recommender + Sync)); 4] = [
+        (&world, &user_knn),
+        (&world, &item_knn),
+        (&world, &tfidf),
+        (&camera_world, &maut),
+    ];
+    let mut walks = exrec_algo::batch::parallel_map(threads, &models, |g, &(world, model)| {
+        let ids: Vec<InterfaceId> = InterfaceId::ALL
+            .into_iter()
+            .filter(|&id| group(id) == g)
+            .collect();
+        walk(world, model, &ids, config).into_iter()
     });
+    let interfaces = InterfaceId::ALL
+        .into_iter()
+        .map(|id| walks[group(id)].next().expect("each walk scores its group"))
+        .collect();
 
     QualityReport::assemble("movies+cameras", interfaces)
 }
@@ -575,6 +620,7 @@ pub fn run(config: &QualityConfig, threads: usize) -> QualityReport {
 mod tests {
     use super::*;
     use exrec_algo::recommender::NeighborContribution;
+    use exrec_core::engine::Explainer;
 
     fn quick_report() -> QualityReport {
         run(&QualityConfig::quick(), 1)
@@ -740,5 +786,38 @@ mod tests {
             assert!(id.is_some(), "{aim}: no catalog interface declares it");
             assert!(id.unwrap().descriptor().aims.contains(aim));
         }
+    }
+
+    #[test]
+    fn walk_stops_once_every_interface_is_full() {
+        // Item-kNN feeds both item-neighbour interfaces on almost every
+        // pair of this world, so the walk ends once both are full, long
+        // before its 10 × `sample_pairs` pair limit.
+        let world = movies::generate(&WorldConfig {
+            n_users: 60,
+            n_items: 48,
+            density: 0.25,
+            seed: 0xEC,
+            ..WorldConfig::default()
+        });
+        let ctx = Ctx::new(&world.ratings, &world.catalog);
+        let telemetry = exrec_obs::Telemetry::default();
+        let model = exrec_algo::InstrumentedRecommender::new(
+            ItemKnn::fit(&ctx, ItemKnnConfig::default()).expect("item-knn fits"),
+            &telemetry,
+        );
+        let ids: Vec<InterfaceId> = InterfaceId::ALL
+            .into_iter()
+            .filter(|id| id.descriptor().needs == EvidenceNeed::ItemNeighbors)
+            .collect();
+        let config = QualityConfig::quick();
+        let scored = walk(&world, &model, &ids, &config);
+        assert!(scored.iter().all(|q| q.samples == config.sample_pairs));
+        let counters = telemetry.report().counters;
+        let calls = counters["algo.predict.item-knn"] + counters["algo.predict_err.item-knn"];
+        assert!(
+            calls < 2 * config.sample_pairs as u64,
+            "{calls} model calls"
+        );
     }
 }

@@ -6,7 +6,9 @@
 //! "peer sent garbage" from "peer sat idle past the reaping timeout".
 //! This module provides those four and nothing else — no chunked
 //! encoding, no TLS, no HTTP/2 — because the wire protocol
-//! (`docs/serving.md`) only ever exchanges small JSON bodies.
+//! (`docs/serving.md`) only ever exchanges small JSON bodies. A request
+//! carrying `Transfer-Encoding` or more than one `Content-Length` is
+//! malformed: its body could otherwise be read as the next request.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
@@ -186,15 +188,24 @@ pub fn read_request<R: Read>(
         }
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    // A body is framed by exactly one `Content-Length`. A chunked body
+    // or a second length would leave body bytes in the stream to be
+    // read as the next keep-alive request, so both are malformed.
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(HttpError::Malformed(
+            "transfer-encoding is not supported".to_owned(),
+        ));
+    }
+    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some((_, v)), None) => v
+            .parse::<usize>()
+            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::Malformed("repeated content-length".to_owned()))
+        }
+    };
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge {
             declared: content_length,
@@ -363,6 +374,52 @@ mod tests {
             parse("GET / HTTP/2.0\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn transfer_encoding_is_malformed() {
+        // Unsupported, so the body's framing is unknown: reading on would
+        // parse the chunk bytes as the next request.
+        for encoding in ["chunked", "identity", "gzip, chunked"] {
+            let raw = format!(
+                "POST /v1/recommend HTTP/1.1\r\nTransfer-Encoding: {encoding}\r\n\r\n\
+                 GET /healthz HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(&raw), Err(HttpError::Malformed(_))),
+                "{encoding}"
+            );
+        }
+        let with_length = "POST / HTTP/1.1\r\ncontent-length: 2\r\n\
+                           transfer-encoding: chunked\r\n\r\n{}";
+        assert!(matches!(parse(with_length), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn repeated_content_length_is_malformed() {
+        // Conflicting lengths: the first would frame `{}` and leave a
+        // pipelined GET inside the second length as its own request.
+        let conflicting = "POST /v1/recommend HTTP/1.1\r\ncontent-length: 2\r\n\
+                           Content-Length: 40\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n";
+        assert!(matches!(parse(conflicting), Err(HttpError::Malformed(_))));
+        // Agreeing duplicates are rejected too: one length, one framing.
+        let repeated = "POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\n{}";
+        assert!(matches!(parse(repeated), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn pipelined_requests_frame_by_their_one_length() {
+        let raw = "POST /v1/explain HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}\
+                   GET /healthz HTTP/1.1\r\n\r\n";
+        let mut reader = BufReader::new(Cursor::new(raw.as_bytes()));
+        let post = read_request(&mut reader, 1024).unwrap().unwrap();
+        assert_eq!(post.body, b"{}");
+        let get = read_request(&mut reader, 1024).unwrap().unwrap();
+        assert_eq!(
+            (get.method.as_str(), get.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert!(read_request(&mut reader, 1024).unwrap().is_none());
     }
 
     #[test]

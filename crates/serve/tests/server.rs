@@ -383,3 +383,33 @@ fn deeply_nested_json_is_a_400_not_a_crash() {
     assert_eq!(fresh.roundtrip("GET", "/healthz", None).status, 200);
     handle.shutdown();
 }
+
+#[test]
+fn ambiguous_body_framing_is_a_400_and_a_close() {
+    let handle = start_server(|_, _| {});
+    // Each payload hides a `GET /healthz` where a parser that ignored
+    // `Transfer-Encoding`, or took the first of two `Content-Length`s,
+    // would read it as a second, smuggled request.
+    let payloads = [
+        "POST /v1/recommend HTTP/1.1\r\nhost: test\r\ntransfer-encoding: chunked\r\n\r\n\
+         GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n",
+        "POST /v1/recommend HTTP/1.1\r\nhost: test\r\ncontent-length: 2\r\n\
+         content-length: 40\r\n\r\n{}GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n",
+    ];
+    for payload in payloads {
+        let mut client = Client::connect(handle.addr());
+        client.writer.write_all(payload.as_bytes()).expect("send");
+        let response = client.read_response().expect("one response");
+        assert_eq!(response.status, 400, "{payload:?}");
+        assert!(response.body.contains("bad_request"));
+        assert_eq!(response.header("connection"), Some("close"));
+        assert!(
+            client.read_response().is_none(),
+            "the hidden request must not be answered: {payload:?}"
+        );
+    }
+
+    let mut fresh = Client::connect(handle.addr());
+    assert_eq!(fresh.roundtrip("GET", "/healthz", None).status, 200);
+    handle.shutdown();
+}
