@@ -14,10 +14,12 @@
 //! 3. **Control:** restart once more. This time the world loads from
 //!    the compaction snapshot (`snapshot_loaded`, `replayed == 0`) —
 //!    the clean-shutdown control — and must again serve byte-identical
-//!    bodies. Then hostile requests (deeply nested JSON, a chunked body
-//!    and conflicting `Content-Length`s, each hiding a second request)
-//!    must each get one 400 and a close, after which `/healthz` answers,
-//!    the bodies are unchanged and SIGTERM still exits cleanly.
+//!    bodies. Then hostile requests (deeply nested JSON, a chunked body,
+//!    conflicting `Content-Length`s, a signed `Content-Length` and a
+//!    header name with whitespace before its colon, the last four each
+//!    hiding a second request) must each get one 400 and a close, after
+//!    which `/healthz` answers, the bodies are unchanged and SIGTERM
+//!    still exits cleanly.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -161,11 +163,12 @@ fn debug_ingest(addr: SocketAddr) -> serde_json::Value {
 }
 
 /// Requests a sound edge must refuse: 20,000 nested `[` (a stack
-/// overflow in a parser without a depth limit), and two bodies whose
+/// overflow in a parser without a depth limit), and four bodies whose
 /// framing hides a `GET /healthz` that a parser ignoring
-/// `Transfer-Encoding`, or taking the first of two `Content-Length`s,
-/// would answer as a second request.
-fn hostile_requests() -> [(&'static str, String); 3] {
+/// `Transfer-Encoding`, taking the first of two `Content-Length`s,
+/// taking a signed length or trimming a header name would answer as a
+/// second request.
+fn hostile_requests() -> [(&'static str, String); 5] {
     let nested = "[".repeat(20_000);
     [
         (
@@ -186,6 +189,18 @@ fn hostile_requests() -> [(&'static str, String); 3] {
             "conflicting content-length",
             "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\ncontent-length: 2\r\n\
              content-length: 40\r\n\r\n{}GET /healthz HTTP/1.1\r\nhost: crash-smoke\r\n\r\n"
+                .to_owned(),
+        ),
+        (
+            "signed content-length",
+            "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\ncontent-length: +2\r\n\r\n\
+             {}GET /healthz HTTP/1.1\r\nhost: crash-smoke\r\n\r\n"
+                .to_owned(),
+        ),
+        (
+            "whitespace before the colon",
+            "POST /v1/recommend HTTP/1.1\r\nhost: crash-smoke\r\ncontent-length : 2\r\n\r\n\
+             {}GET /healthz HTTP/1.1\r\nhost: crash-smoke\r\n\r\n"
                 .to_owned(),
         ),
     ]

@@ -64,6 +64,42 @@ impl RatingsMatrix {
         }
     }
 
+    /// Builds the matrix that `rate`-ing each row's ratings in order, user
+    /// by user, into an empty matrix would leave: the same sum (added in
+    /// that order), the same sorted rows and columns, and one revision per
+    /// rating. Each row must hold distinct in-range items with on-scale
+    /// values. Rows keep their capacity; columns get exactly theirs.
+    pub(crate) fn from_rows(
+        n_items: usize,
+        scale: RatingScale,
+        mut by_user: Vec<Vec<(ItemId, f64)>>,
+    ) -> Self {
+        let mut sum = 0.0;
+        let mut counts = vec![0usize; n_items];
+        for &(item, v) in by_user.iter().flatten() {
+            sum += v;
+            counts[item.index()] += 1;
+        }
+        let n_ratings = counts.iter().sum();
+        let mut by_item: Vec<Vec<(UserId, f64)>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for (u, row) in by_user.iter_mut().enumerate() {
+            row.sort_unstable_by_key(|&(item, _)| item);
+            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "duplicate item");
+            for &(item, v) in row.iter() {
+                by_item[item.index()].push((UserId::new(u as u32), v));
+            }
+        }
+        Self {
+            scale,
+            by_user,
+            by_item,
+            n_ratings,
+            sum,
+            revision: n_ratings as u64,
+        }
+    }
+
     /// Monotone mutation counter: incremented by every call that changes
     /// stored ratings ([`RatingsMatrix::rate`] / [`RatingsMatrix::unrate`]).
     ///

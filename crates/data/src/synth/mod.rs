@@ -12,6 +12,43 @@
 //! gives content-based models something learnable, and makes
 //! prototype-level assertions ("this user truly likes comedies") possible
 //! in studies such as the transparency task (survey Section 3.1).
+//!
+//! # Rating sampling
+//!
+//! [`World::assemble`] gives each user a target of `density × n_items`
+//! ratings. It draws items by exposure weight until the user meets the
+//! target or has made 50 draws per target rating. A draw picks a
+//! uniform `pick` in `[0, Σw)` and subtracts the weights from it one at
+//! a time, in f64. It lands on the first item that drives the residual
+//! to zero or below. If rounding leaves the residual positive after the
+//! last item, the draw falls through to item 0.
+//!
+//! Every study number and every served answer depend on the sampled
+//! worlds, so the sampler reproduces that scan exactly without scanning.
+//! Rounding is monotone and the weights are non-negative, so each
+//! residual only grows with `pick`, and no residual grows from one item
+//! to the next. For each item `i` there is therefore a threshold: the
+//! smallest `pick` whose residual after items `0..=i` is still positive.
+//! The thresholds never decrease with `i`, and a draw lands on the number
+//! of thresholds at or below its `pick`, found by binary search in
+//! `O(log n)` steps instead of `O(n)`.
+//!
+//! The thresholds are exact, not prefix sums: a prefix sum rounds
+//! differently from the subtraction and would move picks near a boundary
+//! to the neighbouring item. Once per world, `exposure_thresholds`
+//! bisects over f64 bit patterns, evaluating the scan's own subtraction
+//! at each candidate, down to the one float where the residual turns
+//! positive. A pick past the last threshold still maps to item 0.
+//! Sending it to the last item instead would be more natural, but would
+//! change the worlds.
+//!
+//! Users are sampled in id order, so each user's row is built directly.
+//! A reused `seen` bitmap rejects repeat draws. The acceptance test's
+//! utility feeds the noisy rating, and `Rating::new` checks each value.
+//! The finished rows go to one `RatingsMatrix` constructor. It sums the
+//! values in sampling order, sorts the rows, fills exact-capacity
+//! columns and counts one revision per rating, just as one `rate` call
+//! per rating would.
 
 pub mod books;
 pub mod cameras;
@@ -23,7 +60,7 @@ pub mod restaurants;
 
 use crate::catalog::Catalog;
 use crate::matrix::RatingsMatrix;
-use exrec_types::{ItemId, RatingScale, UserId};
+use exrec_types::{ItemId, Rating, RatingScale, UserId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -116,6 +153,53 @@ fn gaussian(rng: &mut impl Rng, sd: f64) -> f64 {
     // Sum of 12 uniforms minus 6 approximates a standard normal.
     let s: f64 = (0..12).map(|_| rng.random_range(0.0..1.0)).sum::<f64>() - 6.0;
     s * sd
+}
+
+/// A utility plus rating noise, clamped to `[0, 1]` and put on `scale`.
+fn add_noise(utility: f64, noise_sd: f64, scale: &RatingScale, rng: &mut ChaCha8Rng) -> f64 {
+    scale.denormalize((utility + gaussian(rng, noise_sd)).clamp(0.0, 1.0))
+}
+
+/// The subtraction sampler's residual: `pick` minus each weight in turn,
+/// rounded at every step exactly as the draw loop rounds it.
+fn residual(pick: f64, weights: &[f64]) -> f64 {
+    weights.iter().fold(pick, |r, &w| r - w)
+}
+
+/// Per-item thresholds for [`exposure_index`]: entry `i` is the smallest
+/// non-negative `pick` whose residual after items `0..=i` is still
+/// positive. Each is found by bisecting over f64 bit patterns, which
+/// order like the values for non-negative floats.
+fn exposure_thresholds(weights: &[f64]) -> Vec<f64> {
+    let mut floor = 0u64;
+    (1..=weights.len())
+        .map(|end| {
+            // Thresholds never decrease with `end`, and `+inf` always
+            // leaves a positive residual, so the answer lies in
+            // `floor..=inf`.
+            let (mut lo, mut hi) = (floor, f64::INFINITY.to_bits());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if residual(f64::from_bits(mid), &weights[..end]) > 0.0 {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            floor = lo;
+            f64::from_bits(lo)
+        })
+        .collect()
+}
+
+/// The item a draw of `pick` lands on: the first whose residual is no
+/// longer positive, or item 0 when rounding leaves the residual positive
+/// after the last item.
+fn exposure_index(thresholds: &[f64], pick: f64) -> usize {
+    match thresholds.partition_point(|&t| t <= pick) {
+        i if i == thresholds.len() => 0,
+        i => i,
+    }
 }
 
 impl LatentModel {
@@ -216,8 +300,7 @@ impl LatentModel {
         scale: &RatingScale,
         rng: &mut ChaCha8Rng,
     ) -> f64 {
-        let u = (self.utility(user, item) + gaussian(rng, noise_sd)).clamp(0.0, 1.0);
-        scale.denormalize(u)
+        add_noise(self.utility(user, item), noise_sd, scale, rng)
     }
 
     /// Cosine similarity of two users' latent vectors — the "people like
@@ -275,42 +358,43 @@ impl World {
         }
         let exposure_sum: f64 = exposure.iter().sum();
 
-        let mut ratings = RatingsMatrix::new(config.n_users, n_items, config.scale);
+        let thresholds = exposure_thresholds(&exposure);
         let per_user = ((n_items as f64 * config.density).round() as usize).clamp(1, n_items);
 
+        let mut seen = vec![false; n_items];
+        let mut row = Vec::with_capacity(per_user);
+        let mut rows = Vec::with_capacity(config.n_users);
         for u in 0..config.n_users {
             let user = UserId::new(u as u32);
-            let mut rated = 0usize;
             let mut guard = 0usize;
-            while rated < per_user && guard < per_user * 50 {
+            while row.len() < per_user && guard < per_user * 50 {
                 guard += 1;
                 // Sample an item by exposure weight.
-                let mut pick = rng.random_range(0.0..exposure_sum);
-                let mut idx = 0usize;
-                for (i, &w) in exposure.iter().enumerate() {
-                    pick -= w;
-                    if pick <= 0.0 {
-                        idx = i;
-                        break;
-                    }
-                }
-                let item = ItemId::new(idx as u32);
-                if ratings.rating(user, item).is_some() {
+                let idx = exposure_index(&thresholds, rng.random_range(0.0..exposure_sum));
+                if seen[idx] {
                     continue;
                 }
+                let item = ItemId::new(idx as u32);
                 // Mild self-selection: users are more likely to have
                 // consumed (and thus rated) items they like.
                 let util = latent.utility(user, item);
                 if rng.random_range(0.0..1.0) > 0.35 + 0.65 * util {
                     continue;
                 }
-                let v = latent.noisy_rating(user, item, config.noise_sd, &config.scale, rng);
-                ratings
-                    .rate(user, item, v)
-                    .expect("generated ids are in range");
-                rated += 1;
+                let v = add_noise(util, config.noise_sd, &config.scale, rng);
+                let v = Rating::new(v, &config.scale)
+                    .expect("denormalized ratings are on scale")
+                    .value();
+                seen[idx] = true;
+                row.push((item, v));
             }
+            for &(item, _) in &row {
+                seen[item.index()] = false;
+            }
+            rows.push(row.to_vec());
+            row.clear();
         }
+        let ratings = RatingsMatrix::from_rows(n_items, config.scale, rows);
 
         Self {
             catalog,
@@ -364,6 +448,77 @@ mod tests {
             density: 0.3,
             ..WorldConfig::default()
         })
+    }
+
+    /// The linear CDF scan, the oracle for the threshold lookup: subtract
+    /// each weight in turn and take the first item that drives the
+    /// residual to zero or below, else fall through to item 0.
+    fn scan_index(weights: &[f64], mut pick: f64) -> usize {
+        for (i, &w) in weights.iter().enumerate() {
+            pick -= w;
+            if pick <= 0.0 {
+                return i;
+            }
+        }
+        0
+    }
+
+    #[test]
+    fn threshold_lookup_matches_the_linear_scan() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5CA7);
+        for case in 0..200 {
+            let n = rng.random_range(1..=64usize);
+            let weights: Vec<f64> = match case % 3 {
+                // Zipf-like, as `World::assemble` builds them.
+                0 => {
+                    let skew = rng.random_range(0.0..2.0);
+                    (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(skew)).collect()
+                }
+                // Uniform magnitudes.
+                1 => (0..n).map(|_| rng.random_range(0.0..1.0)).collect(),
+                // Magnitudes spread over many binades, so that rounding
+                // in the subtraction matters.
+                _ => (0..n)
+                    .map(|_| rng.random_range(0.5..1.0) * 2f64.powi(rng.random_range(-60..8i32)))
+                    .collect(),
+            };
+            let sum: f64 = weights.iter().sum();
+            let thresholds = exposure_thresholds(&weights);
+            let mut picks = vec![0.0, f64::from_bits(sum.to_bits() - 1)];
+            picks.extend((0..200).map(|_| rng.random_range(0.0..sum)));
+            for &t in thresholds.iter().filter(|t| t.is_finite()) {
+                let bits = t.to_bits();
+                picks.extend([t, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+            }
+            for pick in picks {
+                assert_eq!(
+                    exposure_index(&thresholds, pick),
+                    scan_index(&weights, pick),
+                    "case {case}: pick {pick:e} over {weights:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_lookup_keeps_the_fall_through_to_item_zero() {
+        // The sum rounds up at every tiny weight (1 + 0.625 ulp → 1 + 1
+        // ulp, …, → 1 + 4 ulp), while subtracting them from a pick below
+        // the sum is exact, so the residual stays positive.
+        let ulp = f64::EPSILON;
+        let tiny = 0.625 * ulp;
+        let weights = [1.0, tiny, tiny, tiny, tiny];
+        let sum: f64 = weights.iter().sum();
+        assert_eq!(sum, 1.0 + 4.0 * ulp);
+        let pick = f64::from_bits(sum.to_bits() - 1);
+        assert!(residual(pick, &weights) > 0.0);
+        let thresholds = exposure_thresholds(&weights);
+        assert_eq!(scan_index(&weights, pick), 0);
+        assert_eq!(exposure_index(&thresholds, pick), 0);
+        // Just below the last threshold the draw lands on the last item.
+        let below_last = f64::from_bits(thresholds[4].to_bits() - 1);
+        assert_eq!(scan_index(&weights, below_last), 4);
+        assert_eq!(exposure_index(&thresholds, below_last), 4);
     }
 
     #[test]

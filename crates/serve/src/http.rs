@@ -182,7 +182,14 @@ pub fn read_request<R: Read>(
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpError::Malformed(format!("header without colon: {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        // A field name is a token (RFC 9112 §5.1): whitespace before the
+        // colon, or a folded continuation line, must not frame anything.
+        if name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(HttpError::Malformed(format!(
+                "whitespace in header name: {line:?}"
+            )));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
         if headers.len() > MAX_HEADERS {
             return Err(HttpError::Malformed("too many headers".to_owned()));
         }
@@ -199,9 +206,11 @@ pub fn read_request<R: Read>(
     let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
     let content_length = match (lengths.next(), lengths.next()) {
         (None, _) => 0,
-        (Some((_, v)), None) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
+        (Some((_, v)), None) => match v.parse::<usize>() {
+            // Digits only: `usize::from_str` also takes a leading `+`.
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed(format!("bad content-length {v:?}"))),
+        },
         (Some(_), Some(_)) => {
             return Err(HttpError::Malformed("repeated content-length".to_owned()))
         }
@@ -405,6 +414,53 @@ mod tests {
         // Agreeing duplicates are rejected too: one length, one framing.
         let repeated = "POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\n{}";
         assert!(matches!(parse(repeated), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn content_length_takes_digits_only() {
+        // RFC 9112 allows digits only. `usize::from_str` also takes `+2`,
+        // and a proxy that refuses it frames the bytes differently.
+        for length in [
+            "+2",
+            "-2",
+            "0x2",
+            "2 2",
+            "2.0",
+            "",
+            "99999999999999999999999",
+        ] {
+            let raw = format!(
+                "POST /v1/recommend HTTP/1.1\r\ncontent-length: {length}\r\n\r\n\
+                 {{}}GET /healthz HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(&raw), Err(HttpError::Malformed(_))),
+                "{length:?}"
+            );
+        }
+        // Whitespace around the value is optional whitespace, not part of it.
+        let padded = parse("POST / HTTP/1.1\r\ncontent-length:  2 \r\n\r\n{}").unwrap();
+        assert_eq!(padded.unwrap().body, b"{}");
+    }
+
+    #[test]
+    fn whitespace_before_the_colon_is_malformed() {
+        // RFC 9112 §5.1: a server must answer 400, not trim the name.
+        for header in [
+            "content-length : 2",
+            "content-length\t: 2",
+            "Host : x",
+            " content-length: 2",
+        ] {
+            let raw = format!(
+                "POST /v1/recommend HTTP/1.1\r\nhost: x\r\n{header}\r\n\r\n\
+                 {{}}GET /healthz HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(&raw), Err(HttpError::Malformed(_))),
+                "{header:?}"
+            );
+        }
     }
 
     #[test]
