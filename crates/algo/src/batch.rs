@@ -12,14 +12,13 @@
 //!   per-item locking);
 //! * [`BatchPool`] — a configured, optionally telemetry-instrumented
 //!   handle exposing [`BatchPool::recommend_batch`] over any
-//!   `Recommender + Sync`;
-//! * [`Recommender::recommend_batch`] (trait default, sequential) is the
-//!   single-threaded reference the parallel path must match bit-for-bit.
+//!   `Recommender + Sync`; the sequential per-user
+//!   [`Recommender::recommend`] loop is the reference it must match
+//!   bit-for-bit.
 //!
 //! **Determinism.** Workers only decide *when* each user is scored,
-//! never *how*: results land in their input slot, each user's
-//! computation reads the shared immutable [`Ctx`], and the similarity
-//! cache stores exact values keyed by revision. Output is therefore
+//! never *how*: results land in their input slot and each user's
+//! computation reads the shared immutable [`Ctx`]. Output is therefore
 //! identical across 1/4/8 threads and to the sequential path — asserted
 //! by `crates/algo/tests/batch.rs`.
 
@@ -222,7 +221,7 @@ pub struct BatchConfig {
 ///
 /// let pool = BatchPool::new(4);
 /// let parallel = pool.recommend_batch(&model, &ctx, &users, 5);
-/// let sequential = model.recommend_batch(&ctx, &users, 5);
+/// let sequential: Vec<_> = users.iter().map(|&u| model.recommend(&ctx, u, 5)).collect();
 /// assert_eq!(parallel, sequential);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -413,8 +412,7 @@ mod tests {
         assert!(!report.counters.contains_key("batch.batches"));
         assert!(!report.histograms.contains_key("batch.recommend_ns"));
 
-        // The trait-default `Recommender::recommend_batch` also
-        // short-circuits: no per-user calls, just an empty result.
+        // `BatchPool::recommend_batch` short-circuits the same way.
         let world = movies::generate(&WorldConfig {
             n_users: 5,
             n_items: 5,
@@ -423,7 +421,6 @@ mod tests {
         });
         let ctx = Ctx::new(&world.ratings, &world.catalog);
         let model = Popularity::default();
-        assert!(model.recommend_batch(&ctx, &[], 4).is_empty());
         assert!(pool.recommend_batch(&model, &ctx, &[], 4).is_empty());
     }
 
@@ -488,7 +485,8 @@ mod tests {
         let pool = BatchPool::new(3).with_telemetry(obs.clone());
         assert_eq!(pool.threads(), 3);
         let parallel = pool.recommend_batch(&model, &ctx, &users, 4);
-        assert_eq!(parallel, model.recommend_batch(&ctx, &users, 4));
+        let sequential: Vec<_> = users.iter().map(|&u| model.recommend(&ctx, u, 4)).collect();
+        assert_eq!(parallel, sequential);
 
         let report = obs.report();
         assert_eq!(report.counters["batch.batches"], 1);

@@ -17,9 +17,9 @@
 //! Pruning is approximate by construction — a true neighbour can live
 //! in an unprobed cluster. The quality bar (recall@k ≥ 0.99 against the
 //! exact scan on seeded worlds) is enforced by property tests in
-//! `crates/algo/tests/kernel.rs` and gated in CI via `serve_bench` +
-//! `benchdiff`; `docs/kernels.md#pruned-probing` walks through the
-//! semantics and the exact-fallback rules.
+//! `crates/algo/tests/kernel.rs` and gated on served traffic by
+//! `perfbench --trace 1`; `docs/kernels.md#pruned-probing` walks
+//! through the semantics and the exact-fallback rules.
 
 use crate::kernel::CsrRatings;
 

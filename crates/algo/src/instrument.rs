@@ -14,9 +14,6 @@
 //! | `algo.evidence_ns.<model>` | histogram | `evidence` latency |
 //! | `algo.recommend.<model>` | counter | `recommend` / `recommend_with_evidence` calls |
 //! | `algo.recommend_ns.<model>` | histogram | latency of both |
-//! | `algo.recommend_batch.<model>` | counter | `recommend_batch` calls |
-//! | `algo.recommend_batch_users.<model>` | counter | users served via batches |
-//! | `algo.recommend_batch_ns.<model>` | histogram | whole-batch latency |
 //!
 //! Handles are resolved once at construction, so the per-call overhead is
 //! a timestamp and two relaxed atomic updates — safe to leave enabled in
@@ -40,9 +37,6 @@ pub struct InstrumentedRecommender<R> {
     evidence_ns: Arc<Histogram>,
     recommends: Counter,
     recommend_ns: Arc<Histogram>,
-    batches: Counter,
-    batch_users: Counter,
-    batch_ns: Arc<Histogram>,
 }
 
 impl<R: Recommender> InstrumentedRecommender<R> {
@@ -58,9 +52,6 @@ impl<R: Recommender> InstrumentedRecommender<R> {
             evidence_ns: metrics.histogram(&format!("algo.evidence_ns.{name}")),
             recommends: metrics.counter(&format!("algo.recommend.{name}")),
             recommend_ns: metrics.histogram(&format!("algo.recommend_ns.{name}")),
-            batches: metrics.counter(&format!("algo.recommend_batch.{name}")),
-            batch_users: metrics.counter(&format!("algo.recommend_batch_users.{name}")),
-            batch_ns: metrics.histogram(&format!("algo.recommend_batch_ns.{name}")),
             inner,
         }
     }
@@ -138,18 +129,6 @@ impl<R: Recommender> Recommender for InstrumentedRecommender<R> {
     ) -> Vec<(Scored, Option<ModelEvidence>)> {
         self.count_ranking(|| self.inner.recommend_with_evidence(ctx, user, n))
     }
-
-    fn recommend_batch(&self, ctx: &Ctx<'_>, users: &[UserId], n: usize) -> Vec<Vec<Scored>> {
-        let started = Instant::now();
-        // Delegate so a model with a specialised batch path (or a cache
-        // warmed across the batch) keeps it; the whole batch is observed
-        // as one sample plus a served-user count.
-        let result = self.inner.recommend_batch(ctx, users, n);
-        self.batch_ns.record(started.elapsed());
-        self.batches.incr();
-        self.batch_users.add(users.len() as u64);
-        result
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +193,11 @@ mod tests {
         }
         let _ = model.evidence(&ctx, UserId(0), ItemId(0));
         let recs = model.recommend(&ctx, UserId(0), 10);
-        let batch = model.recommend_batch(&ctx, &[UserId(0), UserId(1)], 10);
 
         let report = obs.report();
         assert_eq!(report.counters["algo.predict.flaky"], 2);
         assert_eq!(report.counters["algo.predict_err.flaky"], 2);
         assert_eq!(report.counters["algo.recommend.flaky"], 1);
-        assert_eq!(report.counters["algo.recommend_batch.flaky"], 1);
-        assert_eq!(report.counters["algo.recommend_batch_users.flaky"], 2);
-        assert_eq!(report.histograms["algo.recommend_batch_ns.flaky"].count, 1);
-        assert_eq!(batch.len(), 2);
         assert_eq!(report.histograms["algo.predict_ns.flaky"].count, 4);
         assert_eq!(report.histograms["algo.evidence_ns.flaky"].count, 1);
         assert_eq!(report.histograms["algo.recommend_ns.flaky"].count, 1);

@@ -4,8 +4,8 @@
 //! [`RatingsMatrix`] once per *(candidate item, rater)* pair: a
 //! `recommend` call walked every rater of every unrated item and ran a
 //! sorted merge over two rating rows for each, an `O(n_users)`-per-item
-//! dense scan that left the 100k-user uncached path at fractions of a
-//! request per second (see `BENCH_serve.json` and `docs/kernels.md`).
+//! dense scan that left the 100k-user path at fractions of a request
+//! per second (see `docs/kernels.md`).
 //!
 //! This module replaces that scan with a cache-blocked sparse kernel
 //! over a CSR-compacted snapshot of the matrix:
@@ -31,10 +31,8 @@
 //! * [`ScanEngine`] — the shared, revision-keyed holder of the CSR
 //!   snapshot, the tuned tile size and the cluster-pruned
 //!   [`CandidateIndex`]: stale snapshots
-//!   are rebuilt when the matrix revision moves, mirroring the
-//!   [`SimilarityCache`](crate::cache::SimilarityCache) invalidation
-//!   story, and scan counters export through `exrec-obs` under
-//!   `scan.<name>.*`.
+//!   are rebuilt when the matrix revision moves, and scan counters
+//!   export through `exrec-obs` under `scan.<name>.*`.
 //!
 //! Attach an engine to a model with
 //! [`UserKnn::with_engine`](crate::UserKnn::with_engine); see
@@ -359,8 +357,9 @@ pub struct SimParams {
 
 impl SimParams {
     /// Scores one candidate from its gathered co-rating pairs. This is
-    /// a line-for-line port of the seed's `similarity_uncached`, taking
-    /// the already-merged pairs (in item order) instead of re-merging.
+    /// a line-for-line port of the brute path's per-pair similarity,
+    /// taking the already-merged pairs (in item order) instead of
+    /// re-merging.
     fn score(&self, csr: &CsrRatings, user: usize, cand: usize, pairs: &[(f64, f64)]) -> f64 {
         if pairs.len() < self.min_overlap {
             return 0.0;
@@ -869,8 +868,7 @@ pub struct ScanStats {
 ///
 /// One engine is shared by every clone of a model (batch workers, the
 /// serving edge): all derived state sits behind a read-mostly lock and
-/// rebuilds at most once per matrix revision, the same invalidation
-/// contract as [`SimilarityCache`](crate::cache::SimilarityCache).
+/// rebuilds at most once per matrix revision.
 pub struct ScanEngine {
     kernel: KernelConfig,
     index_cfg: IndexConfig,

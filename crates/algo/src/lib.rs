@@ -25,22 +25,16 @@
 //!
 //! ## Serving at scale
 //!
-//! Two modules turn the one-user-at-a-time substrates into a batch
-//! serving path (see `docs/architecture.md` for the request lifecycle
-//! and `docs/benchmarking.md` for measured throughput):
-//!
-//! * [`batch`] — [`Recommender::recommend_batch`] plus
-//!   [`batch::BatchPool`], a work-stealing thread pool distributing
-//!   request chunks over crossbeam-style MPMC channels; results are
-//!   bit-identical to the sequential path under any thread count;
-//! * [`cache`] — [`cache::SimilarityCache`], a sharded, lock-striped,
-//!   revision-invalidated LRU memo of pair similarities that
-//!   [`UserKnn::with_cache`] consults instead of re-walking the ratings
-//!   matrix; hit/miss/eviction counters export through `exrec-obs`.
+//! [`batch`] turns the one-user-at-a-time substrates into a batch
+//! serving path (see `docs/architecture.md` for the request
+//! lifecycle): [`batch::BatchPool`] is a work-stealing thread pool
+//! distributing request chunks over crossbeam-style MPMC channels;
+//! results are bit-identical to the sequential per-user loop under any
+//! thread count.
 //!
 //! ## Sub-linear neighbour search
 //!
-//! Two further modules replace the uncached brute-force similarity
+//! Two further modules replace the brute-force per-pair similarity
 //! scan with a kernel that is fast when exact and sub-linear when
 //! allowed to prune (see `docs/kernels.md`):
 //!
@@ -63,7 +57,6 @@
 pub mod assoc;
 pub mod baseline;
 pub mod batch;
-pub mod cache;
 pub mod content;
 pub mod hybrid;
 pub mod index;
@@ -79,7 +72,6 @@ pub mod similarity;
 pub mod user_knn;
 
 pub use batch::BatchPool;
-pub use cache::SimilarityCache;
 pub use index::{CandidateIndex, IndexConfig};
 pub use instrument::InstrumentedRecommender;
 pub use item_knn::ItemKnn;

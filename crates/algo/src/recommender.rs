@@ -265,17 +265,6 @@ pub trait Recommender {
         scored.truncate(n);
         scored
     }
-
-    /// Ranks top-`n` recommendations for every user in `users`, in input
-    /// order. This default runs sequentially and is the reference
-    /// implementation the parallel path ([`crate::batch::BatchPool`])
-    /// must match bit-for-bit; overrides must preserve per-user results.
-    fn recommend_batch(&self, ctx: &Ctx<'_>, users: &[UserId], n: usize) -> Vec<Vec<Scored>> {
-        if users.is_empty() {
-            return Vec::new();
-        }
-        users.iter().map(|&u| self.recommend(ctx, u, n)).collect()
-    }
 }
 
 #[cfg(test)]

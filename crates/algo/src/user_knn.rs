@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use crate::cache::SimilarityCache;
 use crate::kernel::{scan_similarities, CsrRatings, ScanEngine, ScanMode, SimParams};
 use crate::neighbors::{top_k_by, top_k_stream};
 use crate::recommender::{Ctx, ModelEvidence, NeighborContribution, Recommender, Scored};
@@ -55,28 +54,20 @@ impl Default for UserKnnConfig {
 /// computed against the live ratings matrix on every call, so mid-session
 /// re-rating (survey Section 5.3) is observed immediately.
 ///
-/// For batch serving, attach a shared [`SimilarityCache`] with
-/// [`UserKnn::with_cache`]: pair similarities are then memoized per
-/// ratings-matrix revision. Because the cache stores the exact computed
-/// value and self-invalidates when the matrix mutates, cached predictions
-/// stay bit-identical to uncached ones — including after re-rating.
-///
-/// For sub-linear uncached serving, attach a shared
-/// [`ScanEngine`] with
+/// For serving, attach a shared [`ScanEngine`] with
 /// [`UserKnn::with_engine`]: similarity scans then run through the
 /// CSR-tiled kernel ([`ScanMode::Exact`], bit-identical to the brute
 /// path) and optionally the cluster-pruned candidate index
 /// ([`ScanMode::Pruned`], recall ≥ 0.99 with automatic exact fallback).
 /// The engine snapshots the matrix per revision, so mid-session
-/// re-rating is still observed on the next call, exactly like the
-/// cache's invalidation contract. A ranking then costs one kernel scan:
-/// an inverted gather builds every candidate item's neighbourhood from
-/// it, and [`Recommender::recommend_with_evidence`] hands each
-/// neighbourhood out as its item's evidence. See `docs/kernels.md`.
+/// re-rating is still observed on the next call. A ranking then costs
+/// one kernel scan: an inverted gather builds every candidate item's
+/// neighbourhood from it, and [`Recommender::recommend_with_evidence`]
+/// hands each neighbourhood out as its item's evidence. See
+/// `docs/kernels.md`.
 #[derive(Debug, Clone, Default)]
 pub struct UserKnn {
     config: UserKnnConfig,
-    cache: Option<Arc<SimilarityCache>>,
     scan: Option<ScanHandle>,
 }
 
@@ -100,28 +91,12 @@ impl UserKnn {
                 constraint: "k >= 1".to_owned(),
             });
         }
-        Ok(Self {
-            config,
-            cache: None,
-            scan: None,
-        })
+        Ok(Self { config, scan: None })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &UserKnnConfig {
         &self.config
-    }
-
-    /// Attaches a shared user–user similarity cache. Clones of the same
-    /// `Arc` (e.g. one per batch worker's model handle) share entries.
-    pub fn with_cache(mut self, cache: Arc<SimilarityCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached similarity cache, if any.
-    pub fn cache(&self) -> Option<&Arc<SimilarityCache>> {
-        self.cache.as_ref()
     }
 
     /// Attaches a shared scan engine and picks the scan mode. Clones of
@@ -155,7 +130,7 @@ impl UserKnn {
         }
     }
 
-    fn similarity_uncached(&self, ctx: &Ctx<'_>, a: UserId, b: UserId) -> f64 {
+    fn pair_similarity(&self, ctx: &Ctx<'_>, a: UserId, b: UserId) -> f64 {
         let co = ctx.ratings.co_rated(a, b);
         if co.len() < self.config.min_overlap {
             return 0.0;
@@ -187,8 +162,8 @@ impl UserKnn {
     /// (restricted to the item's raters — the only users whose
     /// similarity can matter here), intersected with the pruned
     /// candidate set in [`ScanMode::Pruned`]; otherwise it runs the
-    /// seed's per-pair path, optionally memoized by the cache. Exact
-    /// mode is bit-identical to the brute path.
+    /// seed's per-pair path. Exact mode is bit-identical to the brute
+    /// path.
     pub fn neighbors(
         &self,
         ctx: &Ctx<'_>,
@@ -208,33 +183,14 @@ impl UserKnn {
         item: ItemId,
     ) -> Vec<NeighborContribution> {
         // Profiler phase per candidate item, not per pair: a guard on
-        // every similarity probe would cost more than a cache hit.
-        // `cache_probe` covers resolving every candidate similarity
-        // through the cache (hits and miss-computes); the uncached
-        // model reports the same work as `similarity`. Probe outcomes
-        // are counted locally and flushed once per call.
-        let _phase = if self.cache.is_some() {
-            exrec_obs::profile::phase("cache_probe")
-        } else {
-            exrec_obs::profile::phase("similarity")
-        };
-        let probes = std::cell::Cell::new(0u64);
-        let computes = std::cell::Cell::new(0u64);
+        // every similarity probe would cost more than the probe.
+        let _phase = exrec_obs::profile::phase("similarity");
         let raters = ctx.ratings.item_ratings(item);
         let candidates: Vec<NeighborContribution> = raters
             .iter()
             .filter(|&&(v, _)| v != user)
             .filter_map(|&(v, rating)| {
-                let s = match &self.cache {
-                    Some(cache) => {
-                        probes.set(probes.get() + 1);
-                        cache.get_or_compute(user.raw(), v.raw(), ctx.ratings.revision(), || {
-                            computes.set(computes.get() + 1);
-                            self.similarity_uncached(ctx, user, v)
-                        })
-                    }
-                    None => self.similarity_uncached(ctx, user, v),
-                };
+                let s = self.pair_similarity(ctx, user, v);
                 (s > self.config.min_similarity).then_some(NeighborContribution {
                     user: v,
                     similarity: s,
@@ -242,7 +198,6 @@ impl UserKnn {
                 })
             })
             .collect();
-        exrec_obs::profile::cache_events(probes.get() - computes.get(), computes.get());
         top_k_by(candidates, self.config.k, |n| n.similarity)
     }
 

@@ -1,12 +1,9 @@
 //! Integration tests for the batch serving path: whatever the thread
-//! count or cache configuration, `recommend_batch` must return exactly
-//! what the sequential per-user loop returns — bit for bit.
-
-use std::sync::Arc;
+//! count, `BatchPool::recommend_batch` must return exactly what the
+//! sequential per-user loop returns — bit for bit.
 
 use exrec_algo::baseline::Popularity;
 use exrec_algo::batch::BatchPool;
-use exrec_algo::cache::{CacheConfig, SimilarityCache};
 use exrec_algo::{Ctx, Recommender, Scored, UserKnn};
 use exrec_data::synth::{movies, WorldConfig};
 use exrec_data::World;
@@ -73,78 +70,4 @@ fn recommend_batch_matches_sequential_across_thread_counts() {
             &format!("Popularity @ {threads} threads"),
         );
     }
-}
-
-#[test]
-fn cached_model_is_bit_identical_to_uncached() {
-    let w = world();
-    let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let users: Vec<UserId> = w.ratings.users().collect();
-
-    let uncached = UserKnn::default();
-    let reference = sequential(&uncached, &ctx, &users, 5);
-
-    let cache = Arc::new(SimilarityCache::new(CacheConfig::default()));
-    let cached = UserKnn::default().with_cache(Arc::clone(&cache));
-    let pool = BatchPool::new(4);
-
-    // Twice: the first pass fills the cache, the second mostly hits it —
-    // both must reproduce the uncached scores exactly.
-    for pass in ["cold", "warm"] {
-        assert_bit_identical(
-            &pool.recommend_batch(&cached, &ctx, &users, 5),
-            &reference,
-            &format!("cached ({pass})"),
-        );
-    }
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "warm pass should hit the cache");
-    assert!(stats.misses > 0, "cold pass should miss the cache");
-}
-
-#[test]
-fn cache_invalidates_when_the_matrix_mutates() {
-    let mut w = world();
-    let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let users: Vec<UserId> = w.ratings.users().take(20).collect();
-
-    let cache = Arc::new(SimilarityCache::new(CacheConfig::default()));
-    let cached = UserKnn::default().with_cache(Arc::clone(&cache));
-    let pool = BatchPool::new(2);
-    let before = pool.recommend_batch(&cached, &ctx, &users, 5);
-
-    // Mutate the matrix: cached similarities are now stale and the next
-    // request must recompute them, matching a fresh uncached model.
-    let user = users[0];
-    let item = w
-        .catalog
-        .ids()
-        .find(|&i| w.ratings.rating(user, i).is_none())
-        .expect("some item is unrated");
-    let value = w.ratings.scale().max();
-    w.ratings.rate(user, item, value).unwrap();
-
-    let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let after = pool.recommend_batch(&cached, &ctx, &users, 5);
-    let reference = sequential(&UserKnn::default(), &ctx, &users, 5);
-    assert_bit_identical(&after, &reference, "post-mutation cached");
-    assert!(
-        cache.stats().invalidations > 0,
-        "revision change must invalidate at least one shard"
-    );
-
-    // Sanity: the mutation actually changed something for the rated user
-    // (at minimum the scores shift, since every similarity involving
-    // `user` changed).
-    let bits = |results: &[Vec<Scored>]| {
-        results[0]
-            .iter()
-            .map(|s| (s.item, s.prediction.score.to_bits()))
-            .collect::<Vec<_>>()
-    };
-    assert_ne!(
-        bits(&before),
-        bits(&after),
-        "rating a new item should alter the first user's top-5"
-    );
 }

@@ -5,10 +5,9 @@
 //!
 //! * **Exact mode is bit-identical** to the brute per-pair path — same
 //!   top-k, same scores down to the float bits, for every similarity
-//!   measure, with or without a similarity cache attached, including
-//!   the negative-`min_similarity` edge where zero-similarity raters
-//!   survive the filter, tied similarities, and neighbourhoods that
-//!   never fill.
+//!   measure, including the negative-`min_similarity` edge where
+//!   zero-similarity raters survive the filter, tied similarities, and
+//!   neighbourhoods that never fill.
 //! * **One scan per request** — the ranking's inverted gather equals
 //!   the per-item column gather it replaced (pruned mode and multi-head
 //!   walks included),
@@ -22,7 +21,6 @@
 
 use std::sync::Arc;
 
-use exrec_algo::cache::{CacheConfig, SimilarityCache};
 use exrec_algo::kernel::{
     overlap_candidates, scan_similarities, union_sorted, CsrRatings, SimParams,
 };
@@ -139,8 +137,8 @@ fn exact_cases() -> Vec<(&'static str, World, usize)> {
 
 /// Exact mode must reproduce the brute path bit-for-bit: every
 /// similarity measure, negative min_similarity (which admits
-/// zero-similarity raters), a cache on the brute side, tied
-/// similarities and neighbourhoods that never fill.
+/// zero-similarity raters), tied similarities and neighbourhoods that
+/// never fill.
 #[test]
 fn exact_mode_is_bit_identical_to_brute() {
     let mut saw_tie = false;
@@ -164,9 +162,6 @@ fn exact_mode_is_bit_identical_to_brute() {
                     ..UserKnnConfig::default()
                 };
                 let brute = UserKnn::new(config.clone()).unwrap();
-                let cached = UserKnn::new(config.clone())
-                    .unwrap()
-                    .with_cache(Arc::new(SimilarityCache::new(CacheConfig::default())));
                 let exact = UserKnn::new(config).unwrap().with_engine(
                     engine_with(TileSize::Auto, IndexConfig::default()),
                     ScanMode::Exact,
@@ -175,7 +170,6 @@ fn exact_mode_is_bit_identical_to_brute() {
                     let want = brute.recommend(&ctx, u, 10);
                     let label = format!("{case}: {similarity:?} min_sim {min_similarity} user {u}");
                     assert_bit_identical(&exact.recommend(&ctx, u, 10), &want, &label);
-                    assert_bit_identical(&cached.recommend(&ctx, u, 10), &want, &label);
                     // The single-item evidence path must agree too.
                     if let Some(first) = want.first() {
                         let bn = brute.neighbors(&ctx, u, first.item);
@@ -526,8 +520,8 @@ fn tile_size_is_result_invariant() {
 /// against the exact scan's top-k — must hold ≥ 0.99 averaged over
 /// sampled queries. This is the metric `docs/kernels.md` defines (the
 /// explanation-evidence guarantee: pruning must not change which
-/// neighbours get cited), also reported by `serve_bench` and gated by
-/// `benchdiff`.
+/// neighbours get cited), also gated on served traffic by
+/// `perfbench --trace 1`.
 #[test]
 fn pruned_recall_at_k_holds() {
     for (n_users, n_items, seed) in [(4000usize, 150usize, 0xFEEDu64), (6000, 200, 0x5EED)] {

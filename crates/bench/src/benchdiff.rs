@@ -1,8 +1,8 @@
 //! Schema-versioned comparison of benchmark reports — the
 //! perf-regression gate behind the `benchdiff` binary.
 //!
-//! The serving benchmarks (`serve_bench` → `BENCH_serve.json`,
-//! `loadgen` → `BENCH_serve_net.json`) stamp every report with a
+//! The load generator (`loadgen` → `BENCH_serve_net.json`) and
+//! `repro --json` stamp every report with a
 //! [`SCHEMA_VERSION`] and a [`RunMeta`] block (git revision, world
 //! shape, thread count). [`compare`] takes two such reports and walks
 //! their numeric leaves generically:
@@ -171,8 +171,8 @@ fn direction_of(path: &[String]) -> Option<Direction> {
     if leaf == "requests_per_sec" || leaf.starts_with("speedup_") {
         return Some(Direction::HigherBetter);
     }
-    // The pruned neighbour scan's accuracy leaf (`serve_bench` →
-    // `workloads.*.scan.recall_at_k`): losing recall is a regression
+    // The pruned neighbour scan's accuracy leaf
+    // (`*.scan.recall_at_k`): losing recall is a regression
     // even when latency improves (docs/kernels.md#the-recallk-guarantee).
     if leaf == "recall_at_k" {
         return Some(Direction::HigherBetter);
@@ -276,7 +276,7 @@ mod tests {
         parse(&format!(
             r#"{{
                 "schema_version": {schema},
-                "benchmark": "serve_bench",
+                "benchmark": "loadgen",
                 "quick": true,
                 "meta": {{"git_rev": "{git_rev}", "world": "{world}", "threads": {threads}}},
                 "threads": {threads},
@@ -359,7 +359,7 @@ mod tests {
         let old = report(100.0, 10.0);
         let new = parse(
             r#"{
-                "benchmark": "serve_bench",
+                "benchmark": "loadgen",
                 "meta": {"git_rev": "abc123", "world": "synthetic-10k-quick", "threads": 4},
                 "workloads": []
             }"#,
@@ -511,7 +511,7 @@ mod tests {
         parse(&format!(
             r#"{{
                 "schema_version": {SCHEMA_VERSION},
-                "benchmark": "serve_bench",
+                "benchmark": "loadgen",
                 "meta": {{"git_rev": "abc123", "world": "synthetic-10k-quick", "threads": 4}},
                 "workloads": [
                     {{

@@ -4,7 +4,7 @@
 //! benchdiff OLD.json NEW.json [--threshold PCT]
 //! ```
 //!
-//! Reads two reports written by `serve_bench` or `loadgen` (both stamp
+//! Reads two reports written by `loadgen` or `repro --json` (both stamp
 //! `schema_version` and a `meta` block) and compares every shared
 //! performance metric: throughput (`requests_per_sec`, `speedup_*`)
 //! must not drop, latency (`latency_ms.*`) must not rise, by more than

@@ -11,15 +11,19 @@
 //!    back through WAL tail replay (`/debug/ingest` shows `replayed >
 //!    0`, no snapshot) and serve byte-identical recommendation bodies.
 //!    Then shut down *cleanly* (SIGTERM), which drains and compacts.
-//! 3. **Control:** restart once more. This time the world loads from
-//!    the compaction snapshot (`snapshot_loaded`, `replayed == 0`) —
-//!    the clean-shutdown control — and must again serve byte-identical
-//!    bodies. Then hostile requests (deeply nested JSON, a chunked body,
-//!    conflicting `Content-Length`s, a signed `Content-Length` and a
-//!    header name with whitespace before its colon, the last four each
-//!    hiding a second request) must each get one 400 and a close, after
-//!    which `/healthz` answers, the bodies are unchanged and SIGTERM
-//!    still exits cleanly.
+//! 3. **Mismatch:** start `serve` over the same journal with one user
+//!    more (`--users 301`). The snapshot no longer fits the generated
+//!    world, so it must exit non-zero before it binds, leaving the WAL
+//!    and the snapshot byte for byte as they were.
+//! 4. **Control:** restart once more (the third life). This time the
+//!    world loads from the compaction snapshot (`snapshot_loaded`,
+//!    `replayed == 0`) — the clean-shutdown control — and must again
+//!    serve byte-identical bodies. Then hostile requests (deeply nested
+//!    JSON, a chunked body, conflicting `Content-Length`s, a signed
+//!    `Content-Length` and a header name with whitespace before its
+//!    colon, the last four each hiding a second request) must each get
+//!    one 400 and a close, after which `/healthz` answers, the bodies
+//!    are unchanged and SIGTERM still exits cleanly.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -27,13 +31,18 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// The deterministic world every `serve` child regenerates; small
-/// enough that three startups stay fast in CI.
-const WORLD: &[&str] = &["--users", "300", "--items", "120", "--density", "0.2"];
+/// The deterministic world every `serve` child regenerates (plus
+/// `--users` [`USERS`]); small enough that three startups stay fast in
+/// CI.
+const WORLD: &[&str] = &["--items", "120", "--density", "0.2"];
+
+/// Users in the served world.
+const USERS: &str = "300";
 
 /// Recommendation probe compared byte-for-byte across lives.
 const PROBE: &str = r#"{"users": [0, 1, 2, 3, 5, 8], "n": 10}"#;
@@ -49,23 +58,32 @@ struct Server {
     addr: SocketAddr,
 }
 
-/// Spawns `serve` against `wal` and waits for its listening banner.
-/// A thread keeps draining stderr afterwards so the child never blocks
-/// on a full pipe (sampled traces stream there).
-fn spawn_serve(wal: &std::path::Path) -> Server {
+/// The sibling `serve` binary over `wal`, generating a world of `users`
+/// users, with stderr piped.
+fn serve_command(wal: &Path, users: &str) -> Command {
     let serve = std::env::current_exe()
         .expect("own path")
         .with_file_name("serve");
-    let mut child = Command::new(&serve)
+    let mut command = Command::new(serve);
+    command
         .args(["--port", "0", "--workers", "2", "--debug-endpoints"])
+        .args(["--users", users])
         .args(WORLD)
         .arg("--wal-path")
         .arg(wal)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::piped())
+        .stderr(Stdio::piped());
+    command
+}
+
+/// Spawns `serve` against `wal` and waits for its listening banner.
+/// A thread keeps draining stderr afterwards so the child never blocks
+/// on a full pipe (sampled traces stream there).
+fn spawn_serve(wal: &Path) -> Server {
+    let mut child = serve_command(wal, USERS)
         .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn {}: {e}", serve.display())));
+        .unwrap_or_else(|e| fail(&format!("spawn serve: {e}")));
     let stderr = child.stderr.take().expect("piped stderr");
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
@@ -237,6 +255,39 @@ fn refuse_hostile_requests(addr: SocketAddr) {
     }
 }
 
+/// Starts `serve` over the compacted journal with one user more than
+/// the snapshot holds. It must exit non-zero without binding, and leave
+/// the journal and its snapshot as they were.
+fn refuse_mismatched_restart(wal: &Path) {
+    let snap = exrec_data::wal::snapshot_path(wal);
+    let files = || (std::fs::read(wal).ok(), std::fs::read(&snap).ok());
+    let before = files();
+    let mut child = serve_command(wal, "301")
+        .spawn()
+        .unwrap_or_else(|e| fail(&format!("spawn serve: {e}")));
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut log = String::new();
+        let _ = stderr.read_to_string(&mut log);
+        let _ = tx.send(log);
+    });
+    let Ok(log) = rx.recv_timeout(Duration::from_secs(120)) else {
+        let _ = child.kill();
+        let _ = child.wait();
+        fail("a 301-user serve over the 300-user snapshot kept running");
+    };
+    let status = child.wait().unwrap_or_else(|e| fail(&format!("wait: {e}")));
+    if status.success() || log.contains("listening on") {
+        fail(&format!(
+            "a 301-user serve over the 300-user snapshot exited {status}: {log}"
+        ));
+    }
+    if files() != before {
+        fail("the refused start changed the journal or its snapshot");
+    }
+}
+
 /// SIGTERM the child and wait for a clean exit (the drain compacts).
 fn terminate(mut server: Server) {
     let pid = server.child.id().to_string();
@@ -318,6 +369,10 @@ fn main() {
     if !exrec_data::wal::snapshot_path(&wal).exists() {
         fail("a clean shutdown must compact the journal");
     }
+
+    // A world of another shape must refuse the snapshot before binding.
+    eprintln!("[crash_smoke] mismatch: starting a 301-user serve over the snapshot");
+    refuse_mismatched_restart(&wal);
 
     // Life 3: the clean-shutdown control — snapshot, empty tail.
     eprintln!("[crash_smoke] life 3: restarting from the compaction snapshot");

@@ -143,7 +143,7 @@ fn run_offline_metrics(quick: bool, out: &str, threads: usize) {
     );
 
     // Stamp the benchmark name and run meta into the report object so
-    // `benchdiff` accepts it (same shape contract as BENCH_serve.json).
+    // `benchdiff` accepts it (same shape contract as loadgen's reports).
     let mut value: Value = serde_json::from_str(&report.to_json()).expect("report round-trips");
     if let Value::Obj(fields) = &mut value {
         let meta = RunMeta::capture(report.world.clone(), 1);

@@ -41,9 +41,8 @@ pub struct Explainer<'r> {
 impl<'r> Explainer<'r> {
     /// Builds an explainer.
     ///
-    /// The recommender must be `Sync` so the batch paths
-    /// ([`Explainer::explain_batch`],
-    /// [`Explainer::recommend_explained_batch`]) can share it across
+    /// The recommender must be `Sync` so the batch path
+    /// ([`Explainer::recommend_explained_batch`]) can share it across
     /// worker threads; every model in `exrec-algo` is.
     pub fn new(recommender: &'r (dyn Recommender + Sync), interface: InterfaceId) -> Self {
         Self {
@@ -229,24 +228,10 @@ impl<'r> Explainer<'r> {
         Ok((prediction, explanation, probe))
     }
 
-    /// [`Explainer::explain`] for a batch of `(user, item)` requests,
-    /// fanned out over `pool`'s workers. Results come back in request
-    /// order and each equals what the sequential call would return —
-    /// workers only decide scheduling, never content.
-    pub fn explain_batch(
-        &self,
-        ctx: &Ctx<'_>,
-        pool: &BatchPool,
-        requests: &[(UserId, ItemId)],
-    ) -> Vec<Result<(Prediction, Explanation)>> {
-        pool.run("explain", requests, |_, &(user, item)| {
-            self.explain(ctx, user, item)
-        })
-    }
-
     /// [`Explainer::recommend_explained`] for a batch of users, fanned
     /// out over `pool`'s workers, in input order. The per-user output is
-    /// identical to the sequential call.
+    /// identical to the sequential call — workers only decide
+    /// scheduling, never content.
     pub fn recommend_explained_batch(
         &self,
         ctx: &Ctx<'_>,
@@ -327,32 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_match_sequential() {
+    fn batch_path_matches_sequential() {
         let w = world();
         let ctx = Ctx::new(&w.ratings, &w.catalog);
         let knn = UserKnn::default();
         let explainer = Explainer::new(&knn, InterfaceId::ClusteredHistogram);
         let users: Vec<_> = w.ratings.users().take(8).collect();
-        let items: Vec<_> = w.catalog.ids().take(4).collect();
-        let requests: Vec<_> = users
-            .iter()
-            .flat_map(|&u| items.iter().map(move |&i| (u, i)))
-            .collect();
 
         for threads in [1, 4] {
             let pool = BatchPool::new(threads);
-            let batched = explainer.explain_batch(&ctx, &pool, &requests);
-            assert_eq!(batched.len(), requests.len());
-            for (result, &(u, i)) in batched.iter().zip(&requests) {
-                match (result, explainer.explain(&ctx, u, i)) {
-                    (Ok((bp, be)), Ok((sp, se))) => {
-                        assert_eq!(bp, &sp);
-                        assert_eq!(be.interface, se.interface);
-                    }
-                    (Err(_), Err(_)) => {}
-                    (b, s) => panic!("batch {b:?} disagrees with sequential {s:?}"),
-                }
-            }
             let explained = explainer.recommend_explained_batch(&ctx, &pool, &users, 3);
             for (per_user, &u) in explained.iter().zip(&users) {
                 let sequential = explainer.recommend_explained(&ctx, u, 3);

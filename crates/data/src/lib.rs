@@ -14,8 +14,8 @@
 //!
 //! The [`RatingsMatrix`] additionally carries a monotone *revision
 //! counter* ([`RatingsMatrix::revision`]) bumped by every successful
-//! mutation. Derived caches — most prominently the sharded similarity
-//! cache in `exrec-algo` — key their entries to it, which makes cache
+//! mutation. Derived state — most prominently the scan engine's CSR
+//! snapshot in `exrec-algo` — keys itself to it, which makes
 //! invalidation lazy, exact, and free when nothing changed. The counter
 //! is deliberately excluded from equality: two matrices with the same
 //! content compare equal regardless of their edit histories.

@@ -9,13 +9,12 @@
 //! themselves incrementally rather than rebuilding from scratch.
 //!
 //! Writes are journaled through an optional [`Wal`] *before* they touch
-//! the matrix, and cache/index maintenance runs via a caller-supplied
+//! the matrix, and index maintenance runs via a caller-supplied
 //! callback **inside the write-lock critical section**. That ordering is
-//! load-bearing: if maintenance ran after the lock dropped, two
-//! interleaved writes could stamp a similarity-cache shard with a newer
-//! revision before an older write's stale entries were evicted, making
-//! them readable again. Under the lock, readers only observe the new
-//! revision after its maintenance completed.
+//! load-bearing: if maintenance ran after the lock dropped, a reader
+//! could observe the new revision while derived state still reflected
+//! the old one. Under the lock, readers only observe the new revision
+//! after its maintenance completed.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, RwLock, RwLockReadGuard};

@@ -32,7 +32,7 @@ pub struct RatingsMatrix {
     by_item: Vec<Vec<(UserId, f64)>>,
     n_ratings: usize,
     sum: f64,
-    /// Bumped on every mutation; lets derived state (similarity caches,
+    /// Bumped on every mutation; lets derived state (CSR snapshots,
     /// fitted models) detect that the matrix has changed underneath them.
     revision: u64,
 }
@@ -103,8 +103,8 @@ impl RatingsMatrix {
     /// Monotone mutation counter: incremented by every call that changes
     /// stored ratings ([`RatingsMatrix::rate`] / [`RatingsMatrix::unrate`]).
     ///
-    /// Consumers that derive state from the matrix — the sharded
-    /// similarity cache in `exrec-algo`, fitted item-item tables — record
+    /// Consumers that derive state from the matrix — the scan engine's
+    /// CSR snapshot in `exrec-algo`, fitted item-item tables — record
     /// the revision they computed against and treat a mismatch as "the
     /// world moved, recompute". Cloning preserves the current value;
     /// revisions are comparable only within one matrix's lineage.

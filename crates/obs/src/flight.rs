@@ -29,10 +29,11 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 /// Version of the [`RequestRecord`] JSON shape. Bumped to 2 when the
-/// sampled `quality` field was added, and to 3 for the write-path
-/// `ingest` block; older dumps (missing fields) still parse, the
-/// fields defaulting to `None`.
-pub const RECORD_SCHEMA: u32 = 3;
+/// sampled `quality` field was added, to 3 for the write-path `ingest`
+/// block, and to 4 when the two cache-probe counters were dropped.
+/// Older dumps still parse: missing fields default to `None` and
+/// dropped fields are ignored.
+pub const RECORD_SCHEMA: u32 = 4;
 
 /// Shape of a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +77,6 @@ pub struct RequestRecord {
     /// Per-phase breakdown: `;`-joined phase path → nanoseconds (see
     /// [`crate::profile::PhaseCollector`]).
     pub phases: Vec<(String, u64)>,
-    /// Similarity-cache probes answered from the cache.
-    pub cache_hits: u64,
-    /// Similarity-cache probes that had to compute.
-    pub cache_misses: u64,
     /// Sampled explanation-quality score in `[0, 1]`; `None` (JSON
     /// `null`) when the online estimator did not sample this request.
     /// Added in record schema 2; schema-1 dumps parse with `None`.
@@ -251,8 +248,6 @@ mod tests {
             start_offset_ns: 1,
             duration_ns: 2,
             phases: vec![("handle".to_owned(), 2)],
-            cache_hits: 0,
-            cache_misses: 0,
             quality: None,
             ingest: None,
         }
@@ -406,5 +401,11 @@ mod tests {
         assert!(!legacy.contains("ingest"));
         let back: RequestRecord = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.ingest, None);
+
+        // A schema-3 line (with fields schema 4 dropped) still parses.
+        let legacy = json.replace(",\"quality\"", ",\"dropped\":0,\"quality\"");
+        assert!(legacy.contains("dropped"));
+        let back: RequestRecord = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back.route, "recommend");
     }
 }

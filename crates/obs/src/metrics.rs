@@ -145,24 +145,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every bucket, the sample count and the running sum, so one
-    /// histogram handle can be reused across benchmark iterations
-    /// without re-registering (the bench harness resets between
-    /// single/batch/cached phases).
-    ///
-    /// The clears are individually atomic but not mutually: a sample
-    /// recorded *while* `reset` runs may be split across the boundary
-    /// (e.g. land its bucket increment but lose its sum contribution).
-    /// Quiesce writers first when an exact zero matters; for bench
-    /// phases, which reset between measured regions, that is free.
-    pub fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-    }
-
     /// Cuts a consistent-enough summary. Concurrent writers may add
     /// samples mid-snapshot; every load is atomic so no value is torn,
     /// and quantile ranks are computed against the bucket total rather
@@ -558,33 +540,6 @@ mod tests {
         // The clamp keeps the sum accumulator from wrapping.
         assert!((s.mean_ns - MAX_TRACKED_NS as f64).abs() < 1.0);
         assert_eq!(s.p99_ns, bucket_bound(N_BUCKETS - 1));
-    }
-
-    #[test]
-    fn histogram_reset_allows_reuse() {
-        let h = Histogram::default();
-        for ns in [100u64, 5_000, 250_000] {
-            h.record_ns(ns);
-        }
-        assert_eq!(h.count(), 3);
-        h.reset();
-        let cleared = h.summarize();
-        assert_eq!(
-            (
-                cleared.count,
-                cleared.mean_ns,
-                cleared.p50_ns,
-                cleared.p99_ns
-            ),
-            (0, 0.0, 0, 0),
-            "reset must be indistinguishable from a fresh histogram"
-        );
-        // The handle keeps working after reset, with no stale samples.
-        h.record_ns(800);
-        let s = h.summarize();
-        assert_eq!(s.count, 1);
-        assert!(s.p50_ns >= 800 && s.p50_ns <= 1024);
-        assert!((s.mean_ns - 800.0).abs() < 1e-9);
     }
 
     #[test]

@@ -57,8 +57,7 @@ pub fn process_offset_ns() -> u64 {
     offset_ns_of(Instant::now())
 }
 
-/// SplitMix64 finalizer — the same mixer the similarity cache shards
-/// with; cheap and well distributed.
+/// SplitMix64 finalizer; cheap and well distributed.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -57,9 +57,8 @@ pub enum Detector {
     /// Absolute floor: anomalous when `value < min`, but only after
     /// the series has been observed at or above the floor at least
     /// `min_samples` times. A collapse needs something to collapse
-    /// from: a series that legitimately idles at 0 forever (the pair
-    /// cache bypassed by the pruned engine, the prune ratio in exact
-    /// mode) never arms the rule and never trips it.
+    /// from: a series that legitimately idles at 0 forever (the prune
+    /// ratio in exact mode) never arms the rule and never trips it.
     Below {
         /// Inclusive floor the series must stay at or above.
         min: f64,
@@ -663,7 +662,7 @@ mod tests {
                 ..WatchConfig::default()
             },
             vec![Rule {
-                name: "hit_ratio_collapse".to_owned(),
+                name: "ratio_collapse".to_owned(),
                 metric: "g".to_owned(),
                 stat: Stat::Value,
                 detector: Detector::Below {

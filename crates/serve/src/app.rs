@@ -1,5 +1,6 @@
-//! The application behind the HTTP edge: a synthetic world, a cached
-//! k-NN model and the explanation engine, shaped into wire responses.
+//! The application behind the HTTP edge: a synthetic world, a k-NN
+//! model on the scan engine and the explanation engine, shaped into
+//! wire responses.
 //!
 //! Everything the handlers do is a thin adapter over existing pipeline
 //! pieces: ranking goes through `BatchPool::recommend_batch`, explained
@@ -15,7 +16,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exrec_algo::batch::BatchPool;
-use exrec_algo::cache::{CacheConfig, SimilarityCache};
 use exrec_algo::{
     Ctx, IndexConfig, KernelConfig, ScanEngine, ScanMode, ScanStats, Scored, UserKnn,
 };
@@ -171,7 +171,7 @@ pub struct ExplainApp {
 }
 
 impl ExplainApp {
-    /// Generates the world and builds the cached model. Expensive
+    /// Generates the world and builds the model. Expensive
     /// (world generation); call once at startup. Panics on journal
     /// I/O failures — use [`ExplainApp::try_new`] to handle them.
     pub fn new(config: AppConfig, telemetry: Telemetry) -> Self {
@@ -183,8 +183,10 @@ impl ExplainApp {
     /// # Errors
     ///
     /// [`Error::Io`] when the journal (or its snapshot) cannot be
-    /// opened, and [`Error::CorruptSnapshot`] when either is damaged
-    /// beyond the tolerated torn tail.
+    /// opened, [`Error::CorruptSnapshot`] when either is damaged
+    /// beyond the tolerated torn tail, and [`Error::InvalidConfig`]
+    /// when the snapshot was taken from a world of another shape or
+    /// rating scale than the one configured.
     pub fn try_new(config: AppConfig, telemetry: Telemetry) -> Result<Self, Error> {
         let mut world = movies::generate(&WorldConfig {
             n_users: config.n_users,
@@ -200,6 +202,7 @@ impl ExplainApp {
         let wal_handle = match &config.wal_path {
             Some(path) => {
                 if let Some(matrix) = wal::load_snapshot(path)? {
+                    check_snapshot_shape(&matrix, &world.ratings)?;
                     world.ratings = matrix;
                     snapshot_loaded = true;
                 }
@@ -214,14 +217,9 @@ impl ExplainApp {
             }
             None => None,
         };
-        let cache = Arc::new(SimilarityCache::instrumented(
-            CacheConfig::default(),
-            telemetry.metrics(),
-            "serve",
-        ));
         // The scan engine replaces the seed's dense per-request user
         // sweep: pruned candidate probing by default, the exact tiled
-        // kernel under `--exact` (both revision-keyed like the cache).
+        // kernel under `--exact` (both keyed by the ratings revision).
         let engine = Arc::new(ScanEngine::instrumented(
             KernelConfig::default(),
             IndexConfig::default(),
@@ -233,9 +231,7 @@ impl ExplainApp {
         } else {
             ScanMode::Pruned
         };
-        let model = UserKnn::default()
-            .with_cache(cache)
-            .with_engine(engine, mode);
+        let model = UserKnn::default().with_engine(engine, mode);
         let pool = BatchPool::new(config.pool_threads).with_telemetry(telemetry.clone());
         // Seed the aim-fit book by scoring every interface against the
         // world and model actually served — the same pass the offline
@@ -293,7 +289,7 @@ impl ExplainApp {
     }
 
     /// Current ratings-matrix revision (bumps on mutation; keys the
-    /// similarity cache's validity).
+    /// scan engine's CSR snapshot).
     pub fn ratings_revision(&self) -> u64 {
         self.world.read().ratings.revision()
     }
@@ -307,15 +303,6 @@ impl ExplainApp {
     pub fn model_name(&self) -> &'static str {
         use exrec_algo::Recommender as _;
         self.model.name()
-    }
-
-    /// Similarity-cache statistics plus total capacity, for `/healthz`
-    /// occupancy fields and `GET /debug/world`. `None` when the model
-    /// runs uncached.
-    pub fn cache_stats(&self) -> Option<(exrec_algo::cache::CacheStats, usize)> {
-        self.model
-            .cache()
-            .map(|cache| (cache.stats(), cache.capacity()))
     }
 
     /// Stable name of the neighbour-scan mode actually serving
@@ -658,8 +645,8 @@ impl ExplainApp {
 
     /// The shared write path: journal + apply the record under the
     /// write lock, and — still under the lock, so readers never observe
-    /// the new revision with stale derived state — surgically maintain
-    /// the similarity cache and the scan engine from the deltas.
+    /// the new revision with stale derived state — hand the deltas to
+    /// the scan engine.
     fn apply_record(&self, record: &WalRecord) -> Result<RateResponse, AppError> {
         let _phase = exrec_obs::profile::phase("ingest_apply");
         let metrics = self.telemetry.metrics();
@@ -668,19 +655,9 @@ impl ExplainApp {
         let started = Instant::now();
         let outcome = self
             .world
-            .apply(record, |world, deltas| {
+            .apply(record, |_, deltas| {
                 if deltas.is_empty() {
                     return;
-                }
-                let revision = world.ratings.revision();
-                let mut touched: Vec<u32> = deltas.iter().map(|d| d.user.raw()).collect();
-                touched.sort_unstable();
-                touched.dedup();
-                // Similarity is local to its two users: only pairs
-                // involving a touched user can change, so the cache
-                // survives the write minus exactly those entries.
-                if let Some(cache) = self.model.cache() {
-                    cache.invalidate_users(&touched, revision);
                 }
                 // The engine buffers the deltas and patches its CSR
                 // snapshot / candidate index incrementally on the next
@@ -825,6 +802,32 @@ impl ExplainApp {
             );
         }
     }
+}
+
+/// Refuses a compaction snapshot taken from a world of another shape or
+/// rating scale than the generated one: swapping it in would serve a
+/// matrix that disagrees with the catalog and the configuration.
+fn check_snapshot_shape(snapshot: &RatingsMatrix, generated: &RatingsMatrix) -> Result<(), Error> {
+    let shape = |m: &RatingsMatrix| (m.n_users(), m.n_items(), *m.scale());
+    if shape(snapshot) == shape(generated) {
+        return Ok(());
+    }
+    let describe = |m: &RatingsMatrix| {
+        format!(
+            "{} users x {} items on {}",
+            m.n_users(),
+            m.n_items(),
+            m.scale()
+        )
+    };
+    Err(Error::InvalidConfig {
+        parameter: "wal_path",
+        constraint: format!(
+            "a snapshot of the configured world ({}), not one of {}",
+            describe(generated),
+            describe(snapshot)
+        ),
+    })
 }
 
 #[cfg(test)]

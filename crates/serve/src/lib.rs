@@ -3,7 +3,7 @@
 //! The networked serving edge of the explanation toolkit: a
 //! dependency-free (std::net + the workspace's vendored crates)
 //! threaded HTTP/1.1 server that puts the explanation pipeline —
-//! `Explainer` over a cached `UserKnn`, fanned out through the
+//! `Explainer` over a scan-engine `UserKnn`, fanned out through the
 //! `exrec_algo::batch` machinery — behind four endpoints:
 //!
 //! | endpoint            | method | purpose                                  |

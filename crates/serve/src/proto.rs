@@ -190,9 +190,6 @@ pub struct HealthResponse {
     /// Rolling-window SLO standing per route (absent routes have not
     /// served yet).
     pub slo: std::collections::BTreeMap<String, SloRouteBody>,
-    /// Similarity-cache occupancy and hit ratio; `None` when the model
-    /// runs uncached (and when deserializing pre-cache payloads).
-    pub cache: Option<CacheStatsBody>,
     /// Live explanation-quality standing; `None` when deserializing
     /// pre-quality payloads (the server always sends it).
     pub quality: Option<QualityStandingBody>,
@@ -275,28 +272,6 @@ pub struct QualityStandingBody {
     pub sustained_low: bool,
 }
 
-/// Similarity-cache standing, shared by `GET /healthz` and
-/// `GET /debug/world`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheStatsBody {
-    /// Currently resident entries, summed over shards.
-    pub entries: usize,
-    /// Total entry capacity over all shards.
-    pub capacity: usize,
-    /// `entries / capacity` in `[0, 1]`.
-    pub occupancy: f64,
-    /// Lookups answered from the cache since start.
-    pub hits: u64,
-    /// Lookups that had to compute since start.
-    pub misses: u64,
-    /// `hits / (hits + misses)` (0.0 before any probe).
-    pub hit_ratio: f64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Shard clears triggered by a ratings-revision change.
-    pub invalidations: u64,
-}
-
 /// Body of a 200 from `GET /debug/profile` (JSON form; send
 /// `Accept: text/plain` for bare collapsed-stack text instead).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -330,8 +305,7 @@ pub struct DebugWorldBody {
     pub items: usize,
     /// Observed ratings.
     pub ratings: usize,
-    /// Ratings-matrix revision (bumps on conversational mutation and
-    /// keys similarity-cache validity).
+    /// Ratings-matrix revision (bumps on every applied write).
     pub ratings_revision: u64,
     /// Serving model name.
     pub model: String,
@@ -343,8 +317,6 @@ pub struct DebugWorldBody {
     pub pool_threads: usize,
     /// Admission queue capacity.
     pub queue_capacity: usize,
-    /// Similarity-cache standing; `None` when the model runs uncached.
-    pub cache: Option<CacheStatsBody>,
     /// Neighbour-scan engine standing; `None` when the model runs the
     /// seed's brute per-pair path (and when deserializing pre-kernel
     /// payloads).

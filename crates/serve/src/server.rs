@@ -47,10 +47,10 @@ use exrec_core::interfaces::InterfaceId;
 use crate::app::{AppError, Deadline, ExplainApp};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::proto::{
-    AimSelectionBody, BuildInfoBody, CacheStatsBody, DebugIncidentsBody, DebugIngestBody,
-    DebugProfileBody, DebugQualityBody, DebugRequestsBody, DebugWorldBody, ErrorBody,
-    HealthResponse, IncidentStandingBody, IndexShapeBody, QualityStandingBody, ScanStatsBody,
-    SloRouteBody, SweepPointBody, WalBody,
+    AimSelectionBody, BuildInfoBody, DebugIncidentsBody, DebugIngestBody, DebugProfileBody,
+    DebugQualityBody, DebugRequestsBody, DebugWorldBody, ErrorBody, HealthResponse,
+    IncidentStandingBody, IndexShapeBody, QualityStandingBody, ScanStatsBody, SloRouteBody,
+    SweepPointBody, WalBody,
 };
 use crate::queue::{Bounded, Popped, PushError};
 
@@ -111,8 +111,6 @@ pub struct WatchTuning {
     pub shed_rate_max: f64,
     /// Floor under the live `quality.fidelity` gauge.
     pub quality_min: f64,
-    /// Floor under the similarity-cache hit ratio.
-    pub hit_ratio_min: f64,
     /// Ceiling on the scan engine's `revision_lag` (matrix revisions
     /// the resident CSR trails the live world by).
     pub revision_lag_max: f64,
@@ -135,7 +133,6 @@ impl Default for WatchTuning {
             error_rate_max: 1.0,
             shed_rate_max: 100.0,
             quality_min: 0.15,
-            hit_ratio_min: 0.02,
             revision_lag_max: 512.0,
             prune_ratio_min: 0.02,
             warmup_ticks: 10,
@@ -181,15 +178,6 @@ impl WatchTuning {
             stat: Stat::Value,
             detector: Detector::Below {
                 min: self.quality_min,
-                min_samples: self.warmup_ticks,
-            },
-        });
-        rules.push(Rule {
-            name: "cache_hit_ratio_collapse".to_owned(),
-            metric: "serve.cache.hit_ratio".to_owned(),
-            stat: Stat::Value,
-            detector: Detector::Below {
-                min: self.hit_ratio_min,
                 min_samples: self.warmup_ticks,
             },
         });
@@ -490,8 +478,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     start_offset_ns: trace::offset_ns_of(conn.admitted_at),
                     duration_ns: duration_ns(conn.admitted_at.elapsed()),
                     phases: Vec::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
                     quality: None,
                     ingest: None,
                 });
@@ -560,17 +546,11 @@ fn maybe_tick(shared: &Shared) {
     }
 }
 
-/// Publishes point-in-time gauges that only exist as method calls on
-/// the app (cache hit ratio, CSR revision lag), so the sampler and the
-/// watchdog see them as ordinary series. Runs only on due ticks.
+/// Publishes the point-in-time CSR revision lag, which only exists as
+/// a method call on the app, so the sampler and the watchdog see it as
+/// an ordinary series. Runs only on due ticks.
 fn refresh_derived_gauges(shared: &Shared) {
     let metrics = shared.telemetry.metrics();
-    if let Some((stats, capacity)) = shared.app.cache_stats() {
-        metrics.gauge("serve.cache.hit_ratio").set(stats.hit_rate());
-        metrics
-            .gauge("serve.cache.occupancy")
-            .set(stats.entries as f64 / capacity.max(1) as f64);
-    }
     if let Some(stats) = shared.app.scan_stats() {
         if let Some(csr) = stats.csr_revision {
             let lag = shared.app.ratings_revision().saturating_sub(csr);
@@ -739,8 +719,6 @@ fn record(
         start_offset_ns: trace::offset_ns_of(started),
         duration_ns: duration_ns(took),
         phases: collector.phases(),
-        cache_hits: collector.cache_hits(),
-        cache_misses: collector.cache_misses(),
         quality: collector.quality(),
         ingest,
     });
@@ -1051,7 +1029,6 @@ fn debug_world(shared: &Shared) -> Response {
             workers: shared.config.workers.max(1),
             pool_threads: app.pool_threads(),
             queue_capacity: shared.queue.capacity(),
-            cache: cache_body(app),
             scan: scan_body(app),
             build: Some(build_body(shared)),
         },
@@ -1094,21 +1071,6 @@ fn scan_body(app: &ExplainApp) -> Option<ScanStatsBody> {
         index_patches: stats.index_patches,
         pending_deltas: stats.pending_deltas,
         patched_since_build: stats.patched_since_build,
-    })
-}
-
-/// The similarity cache's standing as a wire body, shared by
-/// `/healthz` and `/debug/world`. `None` when the model runs uncached.
-fn cache_body(app: &ExplainApp) -> Option<CacheStatsBody> {
-    app.cache_stats().map(|(stats, capacity)| CacheStatsBody {
-        entries: stats.entries,
-        capacity,
-        occupancy: stats.entries as f64 / capacity.max(1) as f64,
-        hits: stats.hits,
-        misses: stats.misses,
-        hit_ratio: stats.hit_rate(),
-        evictions: stats.evictions,
-        invalidations: stats.invalidations,
     })
 }
 
@@ -1177,7 +1139,6 @@ fn health(shared: &Shared) -> Response {
                     )
                 })
                 .collect(),
-            cache: cache_body(&shared.app),
             quality: Some(QualityStandingBody {
                 samples: quality.samples,
                 sample_every: quality.sample_every,

@@ -270,3 +270,57 @@ fn clean_restart_over_the_journal_serves_identical_recommendations() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn restart_over_a_snapshot_of_another_world_is_refused() {
+    let wal = temp_wal("reshape");
+    let app_config = |n_users: usize, n_items: usize| AppConfig {
+        n_users,
+        n_items,
+        density: 0.3,
+        wal_path: Some(wal.clone()),
+        ..AppConfig::default()
+    };
+
+    // First life on 60 x 40: one journaled write, then a compacting drain.
+    {
+        let wal = wal.clone();
+        let handle = start_server(move |_, app| app.wal_path = Some(wal));
+        let mut client = Client::connect(handle.addr());
+        let response = client.roundtrip(
+            "POST",
+            "/v1/rate",
+            Some(r#"{"user": 3, "item": 7, "value": 5.0}"#),
+        );
+        assert_eq!(response.status, 200, "{}", response.body);
+        handle.shutdown();
+    }
+    let snap = exrec_data::wal::snapshot_path(&wal);
+    let files = || (std::fs::read(&wal).unwrap(), std::fs::read(&snap).unwrap());
+    let before = files();
+
+    // A differently shaped world over the same journal must not start.
+    let error = match ExplainApp::try_new(app_config(80, 50), Telemetry::default()) {
+        Ok(_) => panic!("an 80 x 50 world started over a 60 x 40 snapshot"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(error, exrec_types::Error::InvalidConfig { .. }),
+        "{error}"
+    );
+    let message = error.to_string();
+    assert!(message.contains("80 users x 50 items"), "{message}");
+    assert!(message.contains("60 users x 40 items"), "{message}");
+    assert!(
+        ExplainApp::try_new(app_config(60, 50), Telemetry::default()).is_err(),
+        "an item-count mismatch alone is refused too"
+    );
+    assert_eq!(files(), before, "a refused start leaves the journal alone");
+
+    // The same shape still warm-restarts from the snapshot.
+    let app = ExplainApp::try_new(app_config(60, 40), Telemetry::default()).expect("restart");
+    assert!(app.snapshot_loaded());
+    assert_eq!((app.n_users(), app.n_items()), (60, 40));
+    drop(app);
+    let _ = std::fs::remove_dir_all(wal.parent().expect("temp dir"));
+}

@@ -108,7 +108,6 @@ fn disarm_watchdog(server: &mut ServerConfig) {
     server.watch.error_rate_max = f64::INFINITY;
     server.watch.shed_rate_max = f64::INFINITY;
     server.watch.quality_min = -1.0;
-    server.watch.hit_ratio_min = -1.0;
     server.watch.revision_lag_max = f64::INFINITY;
     server.watch.prune_ratio_min = -1.0;
     // The SLO external path never arms with a zero target.
