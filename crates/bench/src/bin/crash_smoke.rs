@@ -29,12 +29,14 @@
 //! Exit code 0 only if every step holds. CI runs this as the
 //! crash-recovery gate (see `.github/workflows/ci.yml`).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
+use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+use exrec_serve::client::{self, Connection, Response};
 
 /// The deterministic world every `serve` child regenerates (plus
 /// `--users` [`USERS`]); small enough that three startups stay fast in
@@ -107,77 +109,31 @@ fn spawn_serve(wal: &Path) -> Server {
     Server { child, addr }
 }
 
-/// Opens a fresh connection and sends `raw` on it.
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> BufReader<TcpStream> {
-    let mut stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("read timeout");
-    stream
-        .write_all(raw)
-        .unwrap_or_else(|e| fail(&format!("send: {e}")));
-    BufReader::new(stream)
-}
-
-/// One request on a fresh connection; returns `(status, body)`.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nhost: crash-smoke\r\nconnection: close\r\n\
-         content-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    read_response(&mut send_raw(addr, raw.as_bytes()))
-}
-
-/// Reads one response; returns `(status, body)`.
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .unwrap_or_else(|e| fail(&format!("status line: {e}")));
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| fail(&format!("bad status line {status_line:?}")));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            fail("connection closed mid-headers");
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .unwrap_or_else(|e| fail(&format!("body: {e}")));
-    (status, String::from_utf8(body).expect("utf-8 body"))
+/// One request on a fresh connection.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
+    client::request(addr, method, path, &[], body)
+        .unwrap_or_else(|e| fail(&format!("{method} {path}: {e}")))
 }
 
 fn post_ok(addr: SocketAddr, path: &str, body: &str) -> String {
-    let (status, response) = request(addr, "POST", path, body);
-    if status != 200 {
-        fail(&format!("POST {path} -> {status}: {response}"));
+    let response = request(addr, "POST", path, body);
+    if response.status != 200 {
+        fail(&format!(
+            "POST {path} -> {}: {}",
+            response.status, response.body
+        ));
     }
-    response
+    response.body
 }
 
 /// `/debug/ingest` as a JSON value.
 fn debug_ingest(addr: SocketAddr) -> serde_json::Value {
-    let (status, body) = request(addr, "GET", "/debug/ingest", "");
-    if status != 200 {
-        fail(&format!("GET /debug/ingest -> {status}"));
+    let response = request(addr, "GET", "/debug/ingest", "");
+    if response.status != 200 {
+        fail(&format!("GET /debug/ingest -> {}", response.status));
     }
-    serde_json::from_str(&body).unwrap_or_else(|e| fail(&format!("/debug/ingest parse: {e}")))
+    serde_json::from_str(&response.body)
+        .unwrap_or_else(|e| fail(&format!("/debug/ingest parse: {e}")))
 }
 
 /// Requests a sound edge must refuse: 20,000 nested `[` (a stack
@@ -228,29 +184,31 @@ fn hostile_requests() -> [(&'static str, String); 5] {
 /// exactly one 400, after which the server closes the connection.
 fn refuse_hostile_requests(addr: SocketAddr) {
     for (label, raw) in hostile_requests() {
-        let mut reader = send_raw(addr, raw.as_bytes());
-        let (status, body) = read_response(&mut reader);
-        if status != 400 {
-            fail(&format!("{label}: wanted 400, got {status}: {body}"));
-        }
-        reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let mut rest = Vec::new();
-        let closed = reader.read_to_end(&mut rest);
-        if !rest.is_empty() {
+        let mut conn = Connection::open(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+        conn.send_raw(raw.as_bytes())
+            .unwrap_or_else(|e| fail(&format!("{label}: send: {e}")));
+        let response = conn
+            .read_response()
+            .unwrap_or_else(|e| fail(&format!("{label}: {e}")));
+        if response.status != 400 {
             fail(&format!(
-                "{label}: a second response followed the 400: {:?}",
-                String::from_utf8_lossy(&rest)
+                "{label}: wanted 400, got {}: {}",
+                response.status, response.body
             ));
         }
-        match closed {
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-            Err(e) => fail(&format!(
-                "{label}: connection still open after the 400: {e}"
+        conn.stream()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        match conn.read_response() {
+            Ok(second) => fail(&format!(
+                "{label}: a second response followed the 400: {second:?}"
             )),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ) => {}
+            Err(e) => fail(&format!("{label}: wanted a close after the 400, got {e}")),
         }
     }
 }
@@ -393,7 +351,7 @@ fn main() {
     // process keeps serving the same world.
     eprintln!("[crash_smoke] life 3: hostile requests");
     refuse_hostile_requests(server.addr);
-    let (status, _) = request(server.addr, "GET", "/healthz", "");
+    let status = request(server.addr, "GET", "/healthz", "").status;
     if status != 200 {
         fail(&format!("GET /healthz -> {status} after hostile requests"));
     }

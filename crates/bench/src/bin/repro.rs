@@ -17,7 +17,7 @@
 //! repro --offline-metrics [--quick] [--out PATH]
 //!                       # score every explanation interface x aim with
 //!                       # the offline quality suite and write a
-//!                       # benchdiff-comparable quality_report.json
+//!                       # schema-stamped quality_report.json
 //!                       # (--quick shrinks worlds and sample counts
 //!                       #  for CI smoke runs)
 //! ```
@@ -88,15 +88,15 @@ fn print_emulations() {
 }
 
 /// Runs the offline explanation-quality suite and writes a
-/// schema-stamped, benchdiff-comparable report.
+/// schema-stamped report.
 ///
 /// The report is a pure function of the config: `meta.threads` is
 /// stamped `1` regardless of the worker count so reports produced at
 /// different parallelism stay comparable (thread-count independence is
 /// covered by the suite's own tests).
 fn run_offline_metrics(quick: bool, out: &str, threads: usize) {
-    use exrec_bench::benchdiff::RunMeta;
     use exrec_eval::quality::QualityConfig;
+    use exrec_obs::meta::RunMeta;
     use serde_json::Value;
 
     let config = if quick {
@@ -142,8 +142,8 @@ fn run_offline_metrics(quick: bool, out: &str, threads: usize) {
         report.interfaces.len()
     );
 
-    // Stamp the benchmark name and run meta into the report object so
-    // `benchdiff` accepts it (same shape contract as loadgen's reports).
+    // Stamp the benchmark name and run meta into the report object, so
+    // a report names the world and revision that produced it.
     let mut value: Value = serde_json::from_str(&report.to_json()).expect("report round-trips");
     if let Value::Obj(fields) = &mut value {
         let meta = RunMeta::capture(report.world.clone(), 1);

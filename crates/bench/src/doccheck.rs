@@ -211,8 +211,8 @@ mod tests {
         assert_eq!(slug("The recall@k guarantee"), "the-recallk-guarantee");
         assert_eq!(slug("Exact fallback"), "exact-fallback");
         assert_eq!(
-            slug("benchdiff — the regression gate"),
-            "benchdiff--the-regression-gate"
+            slug("perfbench — the benchmark of record"),
+            "perfbench--the-benchmark-of-record"
         );
         assert_eq!(slug("CSR layout"), "csr-layout");
         assert_eq!(slug("`--exact` flag"), "--exact-flag");

@@ -12,9 +12,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod benchdiff;
 pub mod doccheck;
-pub mod promcheck;
 
 use exrec_core::influence::loo_influences;
 use exrec_core::render::{PlainRenderer, Render};

@@ -27,7 +27,8 @@
 //! every interface the model serves. [`run`] fans the four walks out
 //! over the work-stealing pool — results are identical at any thread
 //! count. The `repro --offline-metrics` binary wraps [`run`] and writes
-//! the schema-versioned `quality_report.json` that `benchdiff` diffs.
+//! the schema-versioned `quality_report.json`, whose measured fields a
+//! tier-1 test pins bit for bit.
 
 use std::collections::HashSet;
 
@@ -44,7 +45,7 @@ use exrec_types::{ItemId, UserId};
 use serde::{Deserialize, Serialize};
 
 /// Version of the [`QualityReport`] JSON shape. Bump on breaking
-/// changes; `benchdiff` refuses to diff mismatched versions.
+/// changes, so readers can refuse a shape they do not know.
 pub const QUALITY_SCHEMA_VERSION: u32 = 1;
 
 /// Shape of an offline quality run.
@@ -87,8 +88,8 @@ impl QualityConfig {
 }
 
 /// Measured quality of one explanation interface, averaged over the
-/// sampled pairs. The `name` field keys the report's interface array
-/// for `benchdiff`'s name-keyed diffing.
+/// sampled pairs. The `name` field keys the report's interface array,
+/// so two reports compare entry by entry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InterfaceQuality {
     /// Interface key (e.g. `"clustered_histogram"`).
@@ -129,7 +130,7 @@ impl InterfaceQuality {
 }
 
 /// Per-aim aggregate: the measured best interface against the static
-/// catalog default. Name-keyed for `benchdiff`.
+/// catalog default. Name-keyed, like [`InterfaceQuality`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AimQuality {
     /// Lowercased aim name (e.g. `"transparency"`).
@@ -683,7 +684,7 @@ mod tests {
         let json = report.to_json();
         let back = QualityReport::from_json(&json).expect("parses");
         assert_eq!(back, report);
-        // benchdiff keys arrays by `name`: every entry must carry one.
+        // Arrays are keyed by `name`: every entry must carry one.
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
         for section in ["/interfaces", "/aims"] {
             let arr = value.pointer(section).unwrap();

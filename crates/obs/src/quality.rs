@@ -19,7 +19,11 @@
 //! * **Sustained-drop detection** — a consecutive-low-sample streak,
 //!   mirroring the SLO fast-burn latch: the serving edge dumps the
 //!   flight recorder once per drop onset so the low-quality requests
-//!   carry their trace ids and phase profiles out of the ring.
+//!   carry their trace ids and phase profiles out of the ring. Like the
+//!   watchdog's `Below` floors, the streak arms only after healthy
+//!   samples: a drop needs something to drop from, so an interface
+//!   that scores under the threshold from its first sample never
+//!   latches.
 //!
 //! The monitor never computes explanation quality itself — the edge
 //! measures (via `exrec-core`'s probes) and feeds scalars in. That
@@ -45,7 +49,9 @@ pub struct QualityConfig {
     pub window: usize,
     /// Scores below this count as low-quality.
     pub low_threshold: f64,
-    /// Consecutive low samples before the drop counts as sustained.
+    /// Consecutive low samples before the drop counts as sustained;
+    /// the streak arms once this many consecutive samples have scored
+    /// at or above `low_threshold`.
     pub sustain: usize,
 }
 
@@ -135,6 +141,15 @@ struct State {
     interfaces: BTreeMap<String, ScopeStat>,
     aims: BTreeMap<String, Rolling>,
     low_streak: u64,
+    high_streak: u64,
+    /// Set once `high_streak` reaches `sustain`; never cleared.
+    armed: bool,
+}
+
+impl State {
+    fn sustained_low(&self, config: &QualityConfig) -> bool {
+        self.armed && self.low_streak >= config.sustain as u64
+    }
 }
 
 /// The live quality estimator: deterministic sampler + rolling stats +
@@ -160,6 +175,8 @@ impl QualityMonitor {
                 interfaces: BTreeMap::new(),
                 aims: BTreeMap::new(),
                 low_streak: 0,
+                high_streak: 0,
+                armed: false,
             }),
             config,
         }
@@ -187,8 +204,8 @@ impl QualityMonitor {
     }
 
     /// Folds one sampled measurement in: updates rolling stats,
-    /// exports the `quality.*` metric family, and returns whether the
-    /// low-quality streak has just reached the sustained threshold —
+    /// exports the `quality.*` metric family, and returns whether an
+    /// armed low-quality streak has reached the sustained threshold —
     /// the edge's cue to latch a flight-recorder dump.
     pub fn observe(&self, sample: &QualitySample<'_>) -> bool {
         let metrics = self.telemetry.metrics();
@@ -250,10 +267,13 @@ impl QualityMonitor {
         if sample.score < self.config.low_threshold {
             metrics.counter("quality.low").incr();
             state.low_streak += 1;
+            state.high_streak = 0;
         } else {
             state.low_streak = 0;
+            state.high_streak += 1;
+            state.armed |= state.high_streak >= self.config.sustain as u64;
         }
-        state.low_streak >= self.config.sustain as u64
+        state.sustained_low(&self.config)
     }
 
     /// Total measurements folded in so far.
@@ -266,13 +286,12 @@ impl QualityMonitor {
     }
 
     /// Whether the current low-quality streak has reached the
-    /// sustained threshold.
+    /// sustained threshold after the streak armed.
     pub fn sustained_low(&self) -> bool {
         self.state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .low_streak
-            >= self.config.sustain as u64
+            .sustained_low(&self.config)
     }
 
     /// A serializable snapshot for the `/debug/quality` surface.
@@ -283,7 +302,7 @@ impl QualityMonitor {
             sample_every: self.config.sample_every,
             low_threshold: self.config.low_threshold,
             low_streak: state.low_streak,
-            sustained_low: state.low_streak >= self.config.sustain as u64,
+            sustained_low: state.sustained_low(&self.config),
             mean_score: state.overall.score.mean(),
             mean_fidelity: state.overall.fidelity.mean(),
             interfaces: state
@@ -440,13 +459,42 @@ mod tests {
                 ..QualityConfig::default()
             },
         );
+        // Three healthy samples arm the streak; a low one in between
+        // restarts the count.
+        for score in [0.9, 0.9, 0.1, 0.9, 0.9, 0.9] {
+            assert!(!monitor.observe(&sample("histogram", score)));
+        }
         assert!(!monitor.observe(&sample("histogram", 0.1)));
         assert!(!monitor.observe(&sample("histogram", 0.1)));
         assert!(monitor.observe(&sample("histogram", 0.1)), "third low hits");
         assert!(monitor.sustained_low());
         assert!(!monitor.observe(&sample("histogram", 0.9)), "recovery");
         assert!(!monitor.sustained_low());
-        assert_eq!(obs.report().counters["quality.low"], 3);
+        // Still armed: the next sustained drop latches again.
+        for _ in 0..2 {
+            assert!(!monitor.observe(&sample("histogram", 0.1)));
+        }
+        assert!(monitor.observe(&sample("histogram", 0.1)));
+        assert_eq!(obs.report().counters["quality.low"], 7);
+    }
+
+    #[test]
+    fn a_stream_that_starts_low_never_latches() {
+        let monitor = QualityMonitor::new(
+            Telemetry::default(),
+            QualityConfig {
+                low_threshold: 0.5,
+                sustain: 3,
+                ..QualityConfig::default()
+            },
+        );
+        // Two healthy samples in a row never reach the arming count.
+        for score in [0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1] {
+            assert!(!monitor.observe(&sample("histogram", score)));
+        }
+        let snapshot = monitor.snapshot();
+        assert_eq!(snapshot.low_streak, 4);
+        assert!(!snapshot.sustained_low);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::metrics::{HistogramRaw, Metrics};
 use crate::trace;
 
 /// Wire-schema version stamped into [`TsSnapshot`]; bump on breaking
-/// shape changes so pollers (obs_top, loadgen) can refuse mismatches.
+/// shape changes so pollers such as `obs_top` can refuse mismatches.
 pub const TS_SCHEMA: u32 = 1;
 
 /// Tuning for one [`TimeSeries`] engine.

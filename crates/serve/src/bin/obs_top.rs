@@ -17,11 +17,11 @@
 //! assembly over the wire bodies, so it is unit-testable without a
 //! server.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
 use exrec_obs::TsSnapshot;
+use exrec_serve::client::Connection;
 use exrec_serve::proto::{DebugIncidentsBody, HealthResponse};
 
 /// Eight-level Unicode sparkline glyphs, lowest to highest.
@@ -45,37 +45,23 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-/// One blocking HTTP/1.1 GET with `Connection: close`; returns
-/// `(status, body)`.
-fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let request =
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nAccept: application/json\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read {path}: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{path}: malformed response"))?;
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{path}: bad status line"))?;
-    Ok((status, body.to_string()))
-}
+/// How long one poll waits for each answer.
+const POLL_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// `GET path` as JSON on a fresh connection, closed after the answer.
 fn fetch<T: serde::Deserialize>(addr: &str, path: &str) -> Result<T, String> {
-    let (status, body) = http_get(addr, path)?;
-    if status != 200 {
-        return Err(format!("{path}: HTTP {status}"));
+    let get = || {
+        let mut conn = Connection::open(addr)?;
+        conn.stream().set_read_timeout(Some(POLL_TIMEOUT))?;
+        let headers = [("accept", "application/json"), ("connection", "close")];
+        conn.send("GET", path, &headers, "")?;
+        conn.read_response()
+    };
+    let response = get().map_err(|e| format!("{path}: {e}"))?;
+    if response.status != 200 {
+        return Err(format!("{path}: HTTP {}", response.status));
     }
-    serde_json::from_str(&body).map_err(|e| format!("{path}: {e}"))
+    serde_json::from_str(&response.body).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Renders `values` as a fixed-height sparkline, scaled to the series'

@@ -44,6 +44,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod app;
+pub mod client;
 pub mod http;
 pub mod proto;
 pub mod queue;

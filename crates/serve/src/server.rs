@@ -24,8 +24,8 @@
 //!   requests (answering `Connection: close`), then
 //!   [`ServerHandle::join`] returns.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ use crate::queue::{Bounded, Popped, PushError};
 /// Tuning knobs of the serving edge.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bind address; port `0` picks a free port (tests, loadgen).
+    /// Bind address; port `0` picks a free port (tests, perfbench).
     pub addr: String,
     /// Worker threads serving admitted connections.
     pub workers: usize,
@@ -499,14 +499,24 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 
 /// Writes a one-shot refusal on a connection the queue never saw.
 /// Best-effort: a peer that vanished mid-shed is already satisfied.
+///
+/// Closing a socket whose request is still unread makes the kernel
+/// send a reset, which drops any of the response not yet sent and can
+/// fail the client's read. So the response goes out unbatched, the
+/// write side is half-closed, and up to 64 KiB the client already sent
+/// is discarded, without waiting for more, before the socket closes.
 fn refuse(stream: TcpStream, status: u16, error: &str, detail: &str, retry_after: Option<u64>) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
+    let _ = stream.set_nodelay(true);
     let mut response = Response::json(status, &ErrorBody::new(error, detail));
     if let Some(seconds) = retry_after {
         response = response.with_retry_after(seconds);
     }
     let mut stream = stream;
     let _ = response.write_to(&mut stream, false);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_nonblocking(true);
+    let _ = io::copy(&mut (&stream).take(64 * 1024), &mut io::sink());
 }
 
 /// One worker: pop admitted connections and serve them to completion.

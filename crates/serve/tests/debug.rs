@@ -4,150 +4,26 @@
 //! for ≥90% of measured wall time), collapsed-stack export, and flight
 //! records surviving the tail sampler's drop decisions.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+
 use std::sync::Arc;
-use std::time::Duration;
 
 use exrec_obs::{CountingSubscriber, Subscriber, TailConfig, TailSamplingSubscriber, Telemetry};
-use exrec_serve::app::{AppConfig, ExplainApp};
+use exrec_serve::app::AppConfig;
+use exrec_serve::client::{self, Connection};
 use exrec_serve::proto::{DebugProfileBody, DebugRequestsBody, DebugWorldBody, HealthResponse};
-use exrec_serve::server::{self, ServerConfig, ServerHandle};
-
-/// A parsed client-side response.
-struct ClientResponse {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl ClientResponse {
-    fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A keep-alive test client over one connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, extra_headers: &str, body: Option<&str>) {
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\n{extra_headers}content-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        self.writer.write_all(request.as_bytes()).expect("send");
-    }
-
-    fn read_response(&mut self) -> Option<ClientResponse> {
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line).ok()? == 0 {
-            return None;
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).ok()?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let (name, value) = line.split_once(':').expect("header");
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_owned());
-            if name == "content-length" {
-                content_length = value.parse().expect("content-length");
-            }
-            headers.push((name, value));
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).ok()?;
-        Some(ClientResponse {
-            status,
-            headers,
-            body: String::from_utf8(body).expect("utf-8 body"),
-        })
-    }
-
-    fn roundtrip(&mut self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        self.send(method, path, "", body);
-        self.read_response().expect("response")
-    }
-}
-
-/// One request on a *fresh* connection: the first request on a
-/// connection is the one whose wall clock runs from admission, so
-/// queue wait and parse time are attributed to its profile.
-fn fresh_roundtrip(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> ClientResponse {
-    let mut client = Client::connect(addr);
-    client.roundtrip(method, path, body)
-}
-
-/// Starts a server over a small world with the given edge tuning.
-fn start_server_with_telemetry(
-    telemetry: Telemetry,
-    configure: impl FnOnce(&mut ServerConfig, &mut AppConfig),
-) -> ServerHandle {
-    let mut server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_bound: 16,
-        default_deadline_ms: 10_000,
-        max_deadline_ms: 30_000,
-        idle_timeout_ms: 5_000,
-        ..ServerConfig::default()
-    };
-    let mut app_config = AppConfig {
-        n_users: 60,
-        n_items: 40,
-        density: 0.3,
-        ..AppConfig::default()
-    };
-    configure(&mut server_config, &mut app_config);
-    let app = ExplainApp::new(app_config, telemetry.clone());
-    server::start(app, server_config, telemetry).expect("start server")
-}
+use exrec_serve::server::{ServerConfig, ServerHandle};
 
 fn start_server(configure: impl FnOnce(&mut ServerConfig, &mut AppConfig)) -> ServerHandle {
-    start_server_with_telemetry(Telemetry::default(), configure)
+    common::start_server(Telemetry::default(), configure)
 }
 
 #[test]
 fn debug_endpoints_are_forbidden_unless_enabled() {
     let handle = start_server(|_, _| {}); // debug_endpoints defaults to off
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
     for path in ["/debug/profile", "/debug/requests", "/debug/world"] {
-        let response = client.roundtrip("GET", path, None);
+        let response = client.roundtrip("GET", path, "").unwrap();
         assert_eq!(response.status, 403, "{path} must be gated");
         assert!(
             response.body.contains("debug_disabled"),
@@ -158,7 +34,8 @@ fn debug_endpoints_are_forbidden_unless_enabled() {
     // The routes exist even when gated: wrong method is 405, not 404.
     assert_eq!(
         client
-            .roundtrip("POST", "/debug/profile", Some("{}"))
+            .roundtrip("POST", "/debug/profile", "{}")
+            .unwrap()
             .status,
         405
     );
@@ -174,16 +51,18 @@ fn profile_accounts_for_ninety_percent_of_wall_time() {
     // wait and parse attributed, so its phases can cover the full
     // admission-to-response wall clock.
     for _ in 0..5 {
-        let response = fresh_roundtrip(
+        let response = client::request(
             addr,
             "POST",
             "/v1/recommend",
-            Some(r#"{"users": [0, 1, 2, 3, 4, 5, 6, 7], "n": 5, "explain": true}"#),
-        );
+            &[],
+            r#"{"users": [0, 1, 2, 3, 4, 5, 6, 7], "n": 5, "explain": true}"#,
+        )
+        .unwrap();
         assert_eq!(response.status, 200);
     }
 
-    let response = fresh_roundtrip(addr, "GET", "/debug/requests", None);
+    let response = client::request(addr, "GET", "/debug/requests", &[], "").unwrap();
     assert_eq!(response.status, 200);
     let body: DebugRequestsBody = serde_json::from_str(&response.body).unwrap();
     let recommends: Vec<_> = body
@@ -227,18 +106,20 @@ fn profile_accounts_for_ninety_percent_of_wall_time() {
 fn debug_profile_exports_route_tree_and_collapsed_stacks() {
     let handle = start_server(|server, _| server.debug_endpoints = true);
     let addr = handle.addr();
-    let mut client = Client::connect(addr);
+    let mut client = Connection::open(addr).unwrap();
     for _ in 0..3 {
-        let response = client.roundtrip(
-            "POST",
-            "/v1/recommend",
-            Some(r#"{"users": [0, 1], "n": 3, "explain": true}"#),
-        );
+        let response = client
+            .roundtrip(
+                "POST",
+                "/v1/recommend",
+                r#"{"users": [0, 1], "n": 3, "explain": true}"#,
+            )
+            .unwrap();
         assert_eq!(response.status, 200);
     }
 
     // JSON shape: hierarchical per-route tree with self-time.
-    let response = client.roundtrip("GET", "/debug/profile", None);
+    let response = client.roundtrip("GET", "/debug/profile", "").unwrap();
     assert_eq!(response.status, 200);
     assert!(response
         .header("content-type")
@@ -273,8 +154,10 @@ fn debug_profile_exports_route_tree_and_collapsed_stacks() {
     profile.routes.iter().for_each(check);
 
     // Collapsed-stack export: `route;phase;subphase self_ns` per line.
-    let mut client = Client::connect(addr);
-    client.send("GET", "/debug/profile", "accept: text/plain\r\n", None);
+    let mut client = Connection::open(addr).unwrap();
+    client
+        .send("GET", "/debug/profile", &[("accept", "text/plain")], "")
+        .unwrap();
     let response = client.read_response().expect("collapsed response");
     assert_eq!(response.status, 200);
     assert!(response
@@ -311,12 +194,14 @@ fn flight_records_survive_tail_sampler_drop() {
         },
     );
     let telemetry = Telemetry::with_subscriber(Arc::new(tail));
-    let handle = start_server_with_telemetry(telemetry, |server, _| server.debug_endpoints = true);
+    let handle = common::start_server(telemetry, |server, _| server.debug_endpoints = true);
     let addr = handle.addr();
 
-    let mut client = Client::connect(addr);
+    let mut client = Connection::open(addr).unwrap();
     for _ in 0..4 {
-        let response = client.roundtrip("POST", "/v1/recommend", Some(r#"{"users": [0], "n": 2}"#));
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [0], "n": 2}"#)
+            .unwrap();
         assert_eq!(response.status, 200);
     }
 
@@ -326,7 +211,7 @@ fn flight_records_survive_tail_sampler_drop() {
         "fast clean traces should have been dropped by the tail sampler"
     );
     // …but the flight recorder kept every request, untorn.
-    let response = client.roundtrip("GET", "/debug/requests", None);
+    let response = client.roundtrip("GET", "/debug/requests", "").unwrap();
     assert_eq!(response.status, 200);
     let body: DebugRequestsBody = serde_json::from_str(&response.body).unwrap();
     let recommends: Vec<_> = body
@@ -349,19 +234,17 @@ fn flight_records_survive_tail_sampler_drop() {
 #[test]
 fn debug_world_and_healthz_expose_world_shape() {
     let handle = start_server(|server, _| server.debug_endpoints = true);
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     // Drive traffic so the scan engine's counters move.
     for _ in 0..2 {
-        let response = client.roundtrip(
-            "POST",
-            "/v1/recommend",
-            Some(r#"{"users": [0, 1, 2], "n": 3}"#),
-        );
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [0, 1, 2], "n": 3}"#)
+            .unwrap();
         assert_eq!(response.status, 200);
     }
 
-    let response = client.roundtrip("GET", "/debug/world", None);
+    let response = client.roundtrip("GET", "/debug/world", "").unwrap();
     assert_eq!(response.status, 200);
     let raw: serde_json::Value = serde_json::from_str(&response.body).unwrap();
     assert!(
@@ -389,7 +272,7 @@ fn debug_world_and_healthz_expose_world_shape() {
     assert!((0.0..=1.0).contains(&scan.prune_ratio));
 
     // /healthz (not debug-gated) carries no cache block either.
-    let response = client.roundtrip("GET", "/healthz", None);
+    let response = client.roundtrip("GET", "/healthz", "").unwrap();
     assert_eq!(response.status, 200);
     let raw: serde_json::Value = serde_json::from_str(&response.body).unwrap();
     assert!(

@@ -2,100 +2,27 @@
 //! `POST /v1/rate` + `/v1/rate/batch` semantics (validation, batch
 //! atomicity), reads observing writes, `/debug/ingest`, and the
 //! journal round trip — a cleanly drained server compacts, and its
-//! successor warm-restarts into a bit-identical serving world.
+//! successor warm-restarts into a bit-identical serving world, as does
+//! a world reopened over the snapshot plus an uncompacted journal tail.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+
 use std::path::PathBuf;
-use std::time::Duration;
 
 use exrec_obs::Telemetry;
-use exrec_serve::app::{AppConfig, ExplainApp};
-use exrec_serve::proto::{DebugIngestBody, DebugWorldBody, RateResponse, RecommendResponse};
-use exrec_serve::server::{self, ServerConfig, ServerHandle};
+use exrec_serve::app::{AppConfig, Deadline, ExplainApp};
+use exrec_serve::client::Connection;
+use exrec_serve::proto::{
+    DebugIngestBody, DebugWorldBody, RateRequest, RateResponse, RecommendRequest, RecommendResponse,
+};
+use exrec_serve::server::{ServerConfig, ServerHandle};
 
-/// A parsed client-side response.
-struct ClientResponse {
-    status: u16,
-    body: String,
-}
-
-/// A keep-alive test client over one connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        self.writer.write_all(request.as_bytes()).expect("send");
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("status");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("header");
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("content-length");
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body");
-        ClientResponse {
-            status,
-            body: String::from_utf8(body).expect("utf-8 body"),
-        }
-    }
-}
-
-/// Starts a server over a small world with the given edge tuning.
+/// Starts a server with the debug surface on.
 fn start_server(configure: impl FnOnce(&mut ServerConfig, &mut AppConfig)) -> ServerHandle {
-    let mut server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_bound: 16,
-        default_deadline_ms: 10_000,
-        debug_endpoints: true,
-        ..ServerConfig::default()
-    };
-    let mut app_config = AppConfig {
-        n_users: 60,
-        n_items: 40,
-        density: 0.3,
-        ..AppConfig::default()
-    };
-    configure(&mut server_config, &mut app_config);
-    let telemetry = Telemetry::default();
-    let app = ExplainApp::new(app_config, telemetry.clone());
-    server::start(app, server_config, telemetry).expect("start server")
+    common::start_server(Telemetry::default(), |server, app| {
+        server.debug_endpoints = true;
+        configure(server, app);
+    })
 }
 
 /// A unique journal path under the OS temp dir.
@@ -109,16 +36,18 @@ fn temp_wal(tag: &str) -> PathBuf {
 #[test]
 fn rate_applies_and_reads_observe_the_write() {
     let handle = start_server(|_, _| {});
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
-    let before = client.roundtrip("GET", "/debug/world", None);
+    let before = client.roundtrip("GET", "/debug/world", "").unwrap();
     let before: DebugWorldBody = serde_json::from_str(&before.body).unwrap();
 
-    let response = client.roundtrip(
-        "POST",
-        "/v1/rate",
-        Some(r#"{"user": 3, "item": 5, "value": 5.0}"#),
-    );
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/rate",
+            r#"{"user": 3, "item": 5, "value": 5.0}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let rated: RateResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(rated.applied, 1);
@@ -127,11 +56,15 @@ fn rate_applies_and_reads_observe_the_write() {
     assert_eq!(rated.wal_size_bytes, None, "no --wal-path, no journal");
 
     // A retract of an absent rating applies nothing but still succeeds.
-    let response = client.roundtrip("POST", "/v1/rate", Some(r#"{"user": 3, "item": 5}"#));
+    let response = client
+        .roundtrip("POST", "/v1/rate", r#"{"user": 3, "item": 5}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let unrated: RateResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(unrated.applied, 1, "the rating just written comes back out");
-    let response = client.roundtrip("POST", "/v1/rate", Some(r#"{"user": 3, "item": 5}"#));
+    let response = client
+        .roundtrip("POST", "/v1/rate", r#"{"user": 3, "item": 5}"#)
+        .unwrap();
     let noop: RateResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(noop.applied, 0, "absent rating: nothing to retract");
     assert_eq!(
@@ -140,12 +73,14 @@ fn rate_applies_and_reads_observe_the_write() {
     );
 
     // Reads keep flowing after writes, on the updated world.
-    let response = client.roundtrip("POST", "/v1/recommend", Some(r#"{"users": [3], "n": 5}"#));
+    let response = client
+        .roundtrip("POST", "/v1/recommend", r#"{"users": [3], "n": 5}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let recs: RecommendResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(recs.results.len(), 1);
 
-    let debug = client.roundtrip("GET", "/debug/ingest", None);
+    let debug = client.roundtrip("GET", "/debug/ingest", "").unwrap();
     assert_eq!(debug.status, 200);
     let ingest: DebugIngestBody = serde_json::from_str(&debug.body).unwrap();
     assert_eq!(ingest.requests, 3);
@@ -160,42 +95,50 @@ fn rate_applies_and_reads_observe_the_write() {
 #[test]
 fn writes_are_validated_and_batches_are_atomic() {
     let handle = start_server(|_, _| {});
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     // Off-scale value → 422; unknown ids → 404; junk → 400.
-    let response = client.roundtrip(
-        "POST",
-        "/v1/rate",
-        Some(r#"{"user": 0, "item": 0, "value": 99.0}"#),
-    );
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/rate",
+            r#"{"user": 0, "item": 0, "value": 99.0}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 422, "{}", response.body);
-    let response = client.roundtrip(
-        "POST",
-        "/v1/rate",
-        Some(r#"{"user": 9999, "item": 0, "value": 3.0}"#),
-    );
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/rate",
+            r#"{"user": 9999, "item": 0, "value": 3.0}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 404, "{}", response.body);
-    let response = client.roundtrip("POST", "/v1/rate", Some(r#"{"user": 0}"#));
+    let response = client
+        .roundtrip("POST", "/v1/rate", r#"{"user": 0}"#)
+        .unwrap();
     assert_eq!(response.status, 400, "{}", response.body);
 
     // Empty batch → 400; a batch with one bad op applies nothing.
-    let response = client.roundtrip("POST", "/v1/rate/batch", Some(r#"{"ops": []}"#));
+    let response = client
+        .roundtrip("POST", "/v1/rate/batch", r#"{"ops": []}"#)
+        .unwrap();
     assert_eq!(response.status, 400, "{}", response.body);
     let revision_before: DebugIngestBody =
-        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", None).body).unwrap();
-    let response = client.roundtrip(
-        "POST",
-        "/v1/rate/batch",
-        Some(
+        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", "").unwrap().body).unwrap();
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/rate/batch",
             r#"{"ops": [
                 {"user": 0, "item": 1, "value": 4.0},
                 {"user": 9999, "item": 1, "value": 4.0}
             ]}"#,
-        ),
-    );
+        )
+        .unwrap();
     assert_eq!(response.status, 404, "{}", response.body);
     let after: DebugIngestBody =
-        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", None).body).unwrap();
+        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", "").unwrap().body).unwrap();
     assert_eq!(
         after.revision, revision_before.revision,
         "rejected batch must apply none of its ops"
@@ -203,17 +146,17 @@ fn writes_are_validated_and_batches_are_atomic() {
     assert!(after.rejected >= 3);
 
     // A good batch lands whole.
-    let response = client.roundtrip(
-        "POST",
-        "/v1/rate/batch",
-        Some(
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/rate/batch",
             r#"{"ops": [
                 {"user": 0, "item": 1, "value": 4.0},
                 {"user": 1, "item": 2, "value": 2.0},
                 {"user": 2, "item": 3}
             ]}"#,
-        ),
-    );
+        )
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let batch: RateResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(batch.ops, 3);
@@ -230,17 +173,21 @@ fn clean_restart_over_the_journal_serves_identical_recommendations() {
     let first = {
         let wal = wal.clone();
         let handle = start_server(move |_, app| app.wal_path = Some(wal));
-        let mut client = Client::connect(handle.addr());
+        let mut client = Connection::open(handle.addr()).unwrap();
         for (user, item, value) in [(0, 1, 5.0), (1, 2, 1.0), (2, 3, 4.0), (0, 7, 2.0)] {
             let body = format!(r#"{{"user": {user}, "item": {item}, "value": {value:?}}}"#);
-            let response = client.roundtrip("POST", "/v1/rate", Some(&body));
+            let response = client.roundtrip("POST", "/v1/rate", &body).unwrap();
             assert_eq!(response.status, 200, "{}", response.body);
             let rated: RateResponse = serde_json::from_str(&response.body).unwrap();
             assert!(rated.wal_size_bytes.unwrap() > 0, "writes are journaled");
         }
-        let response = client.roundtrip("POST", "/v1/rate", Some(r#"{"user": 1, "item": 2}"#));
+        let response = client
+            .roundtrip("POST", "/v1/rate", r#"{"user": 1, "item": 2}"#)
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.body);
-        let response = client.roundtrip("POST", "/v1/recommend", Some(recommend_body));
+        let response = client
+            .roundtrip("POST", "/v1/recommend", recommend_body)
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.body);
         let body = response.body;
         handle.shutdown();
@@ -252,23 +199,69 @@ fn clean_restart_over_the_journal_serves_identical_recommendations() {
     );
 
     // Second life: warm restart from the compaction snapshot.
-    let handle = start_server(move |_, app| app.wal_path = Some(wal));
-    let mut client = Client::connect(handle.addr());
+    let handle = {
+        let wal = wal.clone();
+        start_server(move |_, app| app.wal_path = Some(wal))
+    };
+    let mut client = Connection::open(handle.addr()).unwrap();
     let ingest: DebugIngestBody =
-        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", None).body).unwrap();
+        serde_json::from_str(&client.roundtrip("GET", "/debug/ingest", "").unwrap().body).unwrap();
     assert!(ingest.snapshot_loaded, "restart must load the snapshot");
     assert_eq!(
         ingest.wal.as_ref().unwrap().replayed,
         0,
         "log was compacted"
     );
-    let response = client.roundtrip("POST", "/v1/recommend", Some(recommend_body));
+    let response = client
+        .roundtrip("POST", "/v1/recommend", recommend_body)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(
         response.body, first,
         "the restarted world must serve bit-identical recommendations"
     );
     handle.shutdown();
+
+    // Third life, in process: journal a tail over the snapshot, then
+    // drop the app without a drain, as a crash after the last append.
+    let config = AppConfig {
+        n_users: 60,
+        n_items: 40,
+        density: 0.3,
+        wal_path: Some(wal),
+        ..AppConfig::default()
+    };
+    let probe: RecommendRequest = serde_json::from_str(recommend_body).unwrap();
+    let recommend = |app: &ExplainApp| {
+        let response = app.recommend(&probe, Deadline::after_ms(60_000)).unwrap();
+        serde_json::to_string(&response).unwrap()
+    };
+    let app = ExplainApp::try_new(config.clone(), Telemetry::default()).unwrap();
+    assert!(app.snapshot_loaded());
+    for k in 0..16u32 {
+        let write = RateRequest {
+            user: (k * 977) % 60,
+            item: (k * 31) % 40,
+            value: Some(f64::from(1 + k % 5)),
+            deadline_ms: None,
+        };
+        app.rate(&write, Deadline::after_ms(60_000)).unwrap();
+    }
+    let with_tail = recommend(&app);
+    drop(app);
+
+    // Fourth life: the snapshot plus the replayed tail is the same world.
+    let app = ExplainApp::try_new(config, Telemetry::default()).unwrap();
+    assert!(
+        app.snapshot_loaded(),
+        "the snapshot still precedes the tail"
+    );
+    assert_eq!(app.wal_stats().unwrap().replayed, 16);
+    assert_eq!(
+        recommend(&app),
+        with_tail,
+        "snapshot + tail replay must serve bit-identical recommendations"
+    );
 }
 
 #[test]
@@ -286,12 +279,14 @@ fn restart_over_a_snapshot_of_another_world_is_refused() {
     {
         let wal = wal.clone();
         let handle = start_server(move |_, app| app.wal_path = Some(wal));
-        let mut client = Client::connect(handle.addr());
-        let response = client.roundtrip(
-            "POST",
-            "/v1/rate",
-            Some(r#"{"user": 3, "item": 7, "value": 5.0}"#),
-        );
+        let mut client = Connection::open(handle.addr()).unwrap();
+        let response = client
+            .roundtrip(
+                "POST",
+                "/v1/rate",
+                r#"{"user": 3, "item": 7, "value": 5.0}"#,
+            )
+            .unwrap();
         assert_eq!(response.status, 200, "{}", response.body);
         handle.shutdown();
     }

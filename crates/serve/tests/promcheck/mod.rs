@@ -1,10 +1,11 @@
 //! Validator for the Prometheus text exposition format (version 0.0.4)
 //! as produced by `GET /metrics` with `Accept: text/plain`.
 //!
-//! The loadgen smoke test scrapes the edge after a sweep and runs the
-//! body through [`check`]; CI fails on any malformed line or missing
-//! expected family. The checks cover the grammar subset the toolkit
-//! emits (no timestamps, no `# HELP`-only families):
+//! The mixed-traffic test in `timeseries.rs` scrapes the edge after its
+//! traffic and runs the body through [`check`], failing on any
+//! malformed line or missing expected family. The checks cover the
+//! grammar subset the toolkit emits (no timestamps, no `# HELP`-only
+//! families):
 //!
 //! * every line is blank, a comment, a `# TYPE` declaration, or a
 //!   sample `name{labels} value`;

@@ -6,115 +6,26 @@
 //! estimator agreeing with the offline fidelity measurement on the
 //! same world.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+mod common;
 
 use exrec_obs::Telemetry;
 use exrec_serve::app::{AppConfig, Deadline, ExplainApp};
+use exrec_serve::client::{self, Connection};
 use exrec_serve::proto::{
-    DebugQualityBody, DebugRequestsBody, ExplainRequest, ExplainResponse, HealthResponse,
+    DebugIncidentsBody, DebugQualityBody, DebugRequestsBody, ExplainRequest, ExplainResponse,
+    HealthResponse,
 };
-use exrec_serve::server::{self, ServerConfig, ServerHandle};
+use exrec_serve::server::{ServerConfig, ServerHandle};
 
-/// A parsed client-side response.
-struct ClientResponse {
-    status: u16,
-    body: String,
-}
-
-/// A keep-alive test client over one connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, extra_headers: &str, body: Option<&str>) {
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\n{extra_headers}content-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        self.writer.write_all(request.as_bytes()).expect("send");
-    }
-
-    fn read_response(&mut self) -> Option<ClientResponse> {
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line).ok()? == 0 {
-            return None;
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).ok()?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let (name, value) = line.split_once(':').expect("header");
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content-length");
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).ok()?;
-        Some(ClientResponse {
-            status,
-            body: String::from_utf8(body).expect("utf-8 body"),
-        })
-    }
-
-    fn roundtrip(&mut self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        self.send(method, path, "", body);
-        self.read_response().expect("response")
-    }
-}
-
-/// Starts a server over a small world with the given edge tuning.
 fn start_server(configure: impl FnOnce(&mut ServerConfig, &mut AppConfig)) -> ServerHandle {
-    let mut server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_bound: 16,
-        default_deadline_ms: 10_000,
-        max_deadline_ms: 30_000,
-        ..ServerConfig::default()
-    };
-    let mut app_config = AppConfig {
-        n_users: 60,
-        n_items: 40,
-        density: 0.3,
-        ..AppConfig::default()
-    };
-    configure(&mut server_config, &mut app_config);
-    let telemetry = Telemetry::default();
-    let app = ExplainApp::new(app_config, telemetry.clone());
-    server::start(app, server_config, telemetry).expect("start server")
+    common::start_server(Telemetry::default(), configure)
 }
 
 #[test]
 fn debug_quality_is_gated_like_the_other_debug_endpoints() {
     let handle = start_server(|_, _| {}); // debug_endpoints defaults to off
-    let mut client = Client::connect(handle.addr());
-    let response = client.roundtrip("GET", "/debug/quality", None);
+    let mut client = Connection::open(handle.addr()).unwrap();
+    let response = client.roundtrip("GET", "/debug/quality", "").unwrap();
     assert_eq!(response.status, 403);
     assert!(
         response.body.contains("debug_disabled"),
@@ -124,7 +35,8 @@ fn debug_quality_is_gated_like_the_other_debug_endpoints() {
     // The route exists even when gated: wrong method is 405, not 404.
     assert_eq!(
         client
-            .roundtrip("POST", "/debug/quality", Some("{}"))
+            .roundtrip("POST", "/debug/quality", "{}")
+            .unwrap()
             .status,
         405
     );
@@ -134,9 +46,9 @@ fn debug_quality_is_gated_like_the_other_debug_endpoints() {
 #[test]
 fn aim_fit_selection_beats_the_static_default_over_http() {
     let handle = start_server(|server, _| server.debug_endpoints = true);
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
-    let response = client.roundtrip("GET", "/debug/quality", None);
+    let response = client.roundtrip("GET", "/debug/quality", "").unwrap();
     assert_eq!(response.status, 200);
     let body: DebugQualityBody = serde_json::from_str(&response.body).unwrap();
     assert!(
@@ -164,7 +76,7 @@ fn aim_fit_selection_beats_the_static_default_over_http() {
     // Asking for that aim (body field) returns the measured winner,
     // not the static default.
     let request = format!(r#"{{"user": 0, "item": 1, "aim": "{}"}}"#, improved.aim);
-    let response = client.roundtrip("POST", "/v1/explain", Some(&request));
+    let response = client.roundtrip("POST", "/v1/explain", &request).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let explained: ExplainResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(explained.explanation.interface, improved.selected);
@@ -172,7 +84,9 @@ fn aim_fit_selection_beats_the_static_default_over_http() {
 
     // `?aim=` on the URL is an equivalent spelling.
     let path = format!("/v1/explain?aim={}", improved.aim);
-    let response = client.roundtrip("POST", &path, Some(r#"{"user": 0, "item": 1}"#));
+    let response = client
+        .roundtrip("POST", &path, r#"{"user": 0, "item": 1}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let explained: ExplainResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(explained.explanation.interface, improved.selected);
@@ -183,17 +97,19 @@ fn aim_fit_selection_beats_the_static_default_over_http() {
         r#"{{"user": 0, "item": 1, "aim": "{}", "interface": "item_average"}}"#,
         improved.aim
     );
-    let response = client.roundtrip("POST", "/v1/explain", Some(&request));
+    let response = client.roundtrip("POST", "/v1/explain", &request).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let explained: ExplainResponse = serde_json::from_str(&response.body).unwrap();
     assert_eq!(explained.explanation.interface, "item_average");
 
     // Unknown aims are a client error, with the offending name echoed.
-    let response = client.roundtrip(
-        "POST",
-        "/v1/explain",
-        Some(r#"{"user": 0, "item": 1, "aim": "speed"}"#),
-    );
+    let response = client
+        .roundtrip(
+            "POST",
+            "/v1/explain",
+            r#"{"user": 0, "item": 1, "aim": "speed"}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 400);
     assert!(response.body.contains("speed"), "{}", response.body);
     handle.shutdown();
@@ -205,13 +121,13 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
         server.debug_endpoints = true;
         app.quality_sample_every = 1; // sample every explain request
     });
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     let mut served = 0usize;
     for user in 0..10u32 {
         for item in 0..4u32 {
             let request = format!(r#"{{"user": {user}, "item": {item}}}"#);
-            let response = client.roundtrip("POST", "/v1/explain", Some(&request));
+            let response = client.roundtrip("POST", "/v1/explain", &request).unwrap();
             // Cold pairs are a legitimate 422; everything else is a bug.
             assert!(
                 response.status == 200 || response.status == 422,
@@ -228,8 +144,9 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
 
     // quality.* families render through the Prometheus exposition
     // (dots become underscores).
-    let mut prom = Client::connect(handle.addr());
-    prom.send("GET", "/metrics", "accept: text/plain\r\n", None);
+    let mut prom = Connection::open(handle.addr()).unwrap();
+    prom.send("GET", "/metrics", &[("accept", "text/plain")], "")
+        .unwrap();
     let response = prom.read_response().expect("metrics response");
     assert_eq!(response.status, 200);
     for family in ["quality_samples", "quality_score", "quality_fidelity"] {
@@ -240,7 +157,7 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
     }
 
     // /healthz carries the quality standing (not debug-gated).
-    let response = client.roundtrip("GET", "/healthz", None);
+    let response = client.roundtrip("GET", "/healthz", "").unwrap();
     assert_eq!(response.status, 200);
     let health: HealthResponse = serde_json::from_str(&response.body).unwrap();
     let quality = health.quality.expect("quality standing in healthz");
@@ -249,7 +166,7 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
     assert!((0.0..=1.0).contains(&quality.mean_score));
 
     // Sampled requests carry their quality score into the flight ring.
-    let response = client.roundtrip("GET", "/debug/requests", None);
+    let response = client.roundtrip("GET", "/debug/requests", "").unwrap();
     assert_eq!(response.status, 200);
     let body: DebugRequestsBody = serde_json::from_str(&response.body).unwrap();
     let scored: Vec<_> = body
@@ -267,7 +184,7 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
         .all(|r| (0.0..=1.0).contains(&r.quality.unwrap())));
 
     // The live estimator agrees with the debug surface.
-    let response = client.roundtrip("GET", "/debug/quality", None);
+    let response = client.roundtrip("GET", "/debug/quality", "").unwrap();
     let debug: DebugQualityBody = serde_json::from_str(&response.body).unwrap();
     assert!(debug.online.samples >= served as u64);
     handle.shutdown();
@@ -333,4 +250,88 @@ fn online_estimator_agrees_with_offline_fidelity_on_the_same_world() {
         online.fidelity,
         offline.fidelity
     );
+}
+
+/// `GET path` as JSON, on its own connection.
+fn get_json<T: serde::Deserialize>(addr: std::net::SocketAddr, path: &str) -> T {
+    let response = client::request(addr, "GET", path, &[], "").unwrap();
+    assert_eq!(response.status, 200, "{path}: {}", response.body);
+    serde_json::from_str(&response.body).unwrap()
+}
+
+/// Explains `pairs` with `interface` (`None` for the served default) and
+/// returns how many were answered with an explanation.
+fn explain_pairs(
+    client: &mut Connection,
+    interface: Option<&str>,
+    pairs: impl IntoIterator<Item = (u32, u32)>,
+) -> usize {
+    let mut served = 0;
+    for (user, item) in pairs {
+        let interface = interface
+            .map(|name| format!(r#", "interface": "{name}""#))
+            .unwrap_or_default();
+        let request = format!(r#"{{"user": {user}, "item": {item}{interface}}}"#);
+        let response = client.roundtrip("POST", "/v1/explain", &request).unwrap();
+        assert!(
+            matches!(response.status, 200 | 422),
+            "{}: {}",
+            response.status,
+            response.body
+        );
+        served += usize::from(response.status == 200);
+    }
+    served
+}
+
+#[test]
+fn default_explains_on_the_default_world_leave_health_ok() {
+    // The default interface scores under the absolute low threshold from
+    // its first sample on. Nothing dropped, so nothing may latch.
+    let handle = start_server(|server, app| {
+        server.debug_endpoints = true;
+        *app = AppConfig::default();
+    });
+    let mut client = Connection::open(handle.addr()).unwrap();
+    let pairs = (0..200u32).map(|k| (k * 7 % 2_000, k * 13 % 300));
+    let served = explain_pairs(&mut client, None, pairs);
+    assert!(served >= 100, "only {served} of 200 explained");
+
+    let health: HealthResponse = get_json(handle.addr(), "/healthz");
+    let quality = health.quality.expect("quality standing");
+    assert!(quality.samples >= 8, "{quality:?}");
+    assert_eq!(health.status, "ok", "{quality:?}");
+    let incidents: DebugIncidentsBody = get_json(handle.addr(), "/debug/incidents");
+    assert_eq!(incidents.opened, 0, "{:?}", incidents.incidents);
+    handle.shutdown();
+}
+
+#[test]
+fn a_real_quality_drop_latches_one_incident() {
+    let handle = start_server(|server, app| {
+        server.debug_endpoints = true;
+        app.quality_sample_every = 1;
+    });
+    let addr = handle.addr();
+    let mut client = Connection::open(addr).unwrap();
+    let pairs = || (0..60u32).map(|user| (user, user * 7 % 40));
+
+    // neighbor_table cites every neighbour it draws on (coverage 1), so
+    // each of its scores is at least 1/3: healthy samples that arm the
+    // streak without tripping it.
+    assert!(explain_pairs(&mut client, Some("neighbor_table"), pairs()) >= 8);
+    let health: HealthResponse = get_json(addr, "/healthz");
+    assert_eq!(health.status, "ok", "{:?}", health.quality);
+
+    // item_average scores under the threshold on most pairs: the drop.
+    let latched = pairs().any(|pair| {
+        explain_pairs(&mut client, Some("item_average"), [pair]);
+        get_json::<HealthResponse>(addr, "/healthz").status == "degraded"
+    });
+    assert!(latched, "item_average never latched the streak");
+    let incidents: DebugIncidentsBody = get_json(addr, "/debug/incidents");
+    assert_eq!(incidents.opened, 1, "{:?}", incidents.incidents);
+    assert_eq!(incidents.flight_dumps, 1);
+    assert_eq!(incidents.incidents[0].rule, "quality_sustained_low");
+    handle.shutdown();
 }

@@ -1,104 +1,36 @@
 //! Integration tests for the continuous-telemetry surface over real
 //! loopback sockets: the cooperative time-series sampler retaining
 //! windowed per-interval digests, the anomaly watchdog latching exactly
-//! one incident for an induced regression, and the build/incident
-//! blocks folded into `/healthz` and `/debug/world`.
+//! one incident for an induced regression, the build/incident blocks
+//! folded into `/healthz` and `/debug/world`, the Prometheus exposition
+//! and every `/debug/*` body after mixed read/write traffic and an
+//! overload burst, and the `obs_top` dashboard against a live server.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+mod promcheck;
+
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use exrec_obs::{Telemetry, TsSnapshot};
-use exrec_serve::app::{AppConfig, ExplainApp};
-use exrec_serve::proto::{DebugIncidentsBody, DebugWorldBody, HealthResponse};
-use exrec_serve::server::{self, ServerConfig, ServerHandle};
+use exrec_core::aims::Aim;
+use exrec_obs::{MetricsReport, Telemetry, TsSnapshot};
+use exrec_serve::app::AppConfig;
+use exrec_serve::client::{self, Connection};
+use exrec_serve::proto::{
+    DebugIncidentsBody, DebugIngestBody, DebugProfileBody, DebugQualityBody, DebugRequestsBody,
+    DebugWorldBody, HealthResponse,
+};
+use exrec_serve::server::{ServerConfig, ServerHandle};
 
-/// A parsed client-side response.
-struct ClientResponse {
-    status: u16,
-    body: String,
-}
-
-/// A keep-alive test client over one connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        self.writer.write_all(request.as_bytes()).expect("send");
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("status");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("header");
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("content-length");
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body");
-        ClientResponse {
-            status,
-            body: String::from_utf8(body).expect("utf-8 body"),
-        }
-    }
-}
-
-/// Starts a server over a small world with a fast sampler tick and the
-/// debug surface on.
+/// Starts a server with a fast sampler tick and the debug surface on.
 fn start_server(configure: impl FnOnce(&mut ServerConfig, &mut AppConfig)) -> ServerHandle {
-    let mut server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_bound: 32,
-        default_deadline_ms: 10_000,
-        max_deadline_ms: 30_000,
-        idle_timeout_ms: 5_000,
-        debug_endpoints: true,
-        ..ServerConfig::default()
-    };
-    server_config.ts.interval_ns = 25_000_000; // 25ms ticks
-    server_config.ts.retention = 256;
-    let mut app_config = AppConfig {
-        n_users: 60,
-        n_items: 40,
-        density: 0.3,
-        ..AppConfig::default()
-    };
-    configure(&mut server_config, &mut app_config);
-    let app = ExplainApp::new(app_config, Telemetry::default());
-    server::start(app, server_config, Telemetry::default()).expect("start server")
+    common::start_server(Telemetry::default(), |server, app| {
+        server.queue_bound = 32;
+        server.debug_endpoints = true;
+        server.ts.interval_ns = 25_000_000; // 25ms ticks
+        server.ts.retention = 256;
+        configure(server, app);
+    })
 }
 
 /// Neuters every watchdog rule that ambient test traffic could trip,
@@ -120,21 +52,23 @@ fn sampler_retains_windowed_digests_under_steady_traffic() {
         disarm_watchdog(server);
         app.quality_sample_every = 0;
     });
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     // ~1.2s of steady traffic across ≥40 25ms tick windows; every
     // request drives the cooperative sampler from `record()`.
     let deadline = Instant::now() + Duration::from_millis(1_200);
     let mut requests = 0u64;
     while Instant::now() < deadline {
-        let response = client.roundtrip("POST", "/v1/recommend", Some(r#"{"users": [3], "n": 4}"#));
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [3], "n": 4}"#)
+            .unwrap();
         assert_eq!(response.status, 200);
         requests += 1;
         std::thread::sleep(Duration::from_millis(2));
     }
 
     let snap: TsSnapshot = {
-        let response = client.roundtrip("GET", "/debug/timeseries", None);
+        let response = client.roundtrip("GET", "/debug/timeseries", "").unwrap();
         assert_eq!(response.status, 200);
         serde_json::from_str(&response.body).expect("timeseries body")
     };
@@ -178,11 +112,13 @@ fn induced_error_burst_latches_exactly_one_incident() {
         server.watch.trip_after = 2;
         server.watch.clear_after = 1_000_000;
     });
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     // Warm up with clean traffic over a few ticks.
     for _ in 0..20 {
-        let response = client.roundtrip("POST", "/v1/recommend", Some(r#"{"users": [1], "n": 2}"#));
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [1], "n": 2}"#)
+            .unwrap();
         assert_eq!(response.status, 200);
         std::thread::sleep(Duration::from_millis(3));
     }
@@ -191,11 +127,13 @@ fn induced_error_burst_latches_exactly_one_incident() {
     let burst_start_ns = exrec_obs::trace::process_offset_ns();
     let burst_deadline = Instant::now() + Duration::from_millis(300);
     while Instant::now() < burst_deadline {
-        let response = client.roundtrip(
-            "POST",
-            "/v1/recommend",
-            Some(r#"{"users": [1], "inject_panic": true}"#),
-        );
+        let response = client
+            .roundtrip(
+                "POST",
+                "/v1/recommend",
+                r#"{"users": [1], "inject_panic": true}"#,
+            )
+            .unwrap();
         assert_eq!(response.status, 500);
         std::thread::sleep(Duration::from_millis(3));
     }
@@ -204,13 +142,15 @@ fn induced_error_burst_latches_exactly_one_incident() {
     // Clean traffic afterwards: the latch must hold (clear_after is
     // effectively infinite), and no second incident may open.
     for _ in 0..30 {
-        let response = client.roundtrip("POST", "/v1/recommend", Some(r#"{"users": [1], "n": 2}"#));
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [1], "n": 2}"#)
+            .unwrap();
         assert_eq!(response.status, 200);
         std::thread::sleep(Duration::from_millis(3));
     }
 
     let incidents: DebugIncidentsBody = {
-        let response = client.roundtrip("GET", "/debug/incidents", None);
+        let response = client.roundtrip("GET", "/debug/incidents", "").unwrap();
         assert_eq!(response.status, 200);
         serde_json::from_str(&response.body).expect("incidents body")
     };
@@ -229,7 +169,7 @@ fn induced_error_burst_latches_exactly_one_incident() {
 
     // The standing incident degrades /healthz.
     let health: HealthResponse = {
-        let response = client.roundtrip("GET", "/healthz", None);
+        let response = client.roundtrip("GET", "/healthz", "").unwrap();
         serde_json::from_str(&response.body).expect("health body")
     };
     assert_eq!(health.status, "degraded");
@@ -237,6 +177,16 @@ fn induced_error_burst_latches_exactly_one_incident() {
     assert_eq!(standing.active, 1);
     assert_eq!(standing.flight_dumps, 1);
     assert_eq!(standing.last_rule.as_deref(), Some("error_rate"));
+
+    // The JSON /metrics report tells the same story.
+    let metrics: MetricsReport = {
+        let response = client.roundtrip("GET", "/metrics", "").unwrap();
+        serde_json::from_str(&response.body).expect("metrics body")
+    };
+    assert_eq!(metrics.counters["watch.incidents"], 1);
+    assert_eq!(metrics.counters["watch.flight_dumps"], 1);
+    assert!(metrics.counters["serve.panic"] > 0, "no panic counted");
+    assert_eq!(metrics.gauges["watch.active"], 1.0);
 
     handle.shutdown();
 }
@@ -247,10 +197,10 @@ fn build_info_reports_schemas_in_health_and_world() {
         disarm_watchdog(server);
         app.quality_sample_every = 0;
     });
-    let mut client = Client::connect(handle.addr());
+    let mut client = Connection::open(handle.addr()).unwrap();
 
     let health: HealthResponse = {
-        let response = client.roundtrip("GET", "/healthz", None);
+        let response = client.roundtrip("GET", "/healthz", "").unwrap();
         assert_eq!(response.status, 200);
         serde_json::from_str(&response.body).expect("health body")
     };
@@ -262,7 +212,7 @@ fn build_info_reports_schemas_in_health_and_world() {
     assert_eq!(build.watch_schema, exrec_obs::watch::WATCH_SCHEMA);
 
     let world: DebugWorldBody = {
-        let response = client.roundtrip("GET", "/debug/world", None);
+        let response = client.roundtrip("GET", "/debug/world", "").unwrap();
         assert_eq!(response.status, 200);
         serde_json::from_str(&response.body).expect("world body")
     };
@@ -270,5 +220,240 @@ fn build_info_reports_schemas_in_health_and_world() {
     assert_eq!(world_build.git_rev, build.git_rev);
     assert_eq!(world_build.threads, 2);
 
+    handle.shutdown();
+}
+
+/// Request `i` of the mixed workload: 10% single explains, 20%
+/// explained top-5, 10% journaled writes (every fifth a three-op batch
+/// ending in a retract) and 60% plain top-10 for two users, over the
+/// 60 x 40 world. `extra` is spliced into each JSON body.
+fn mixed_request(i: usize, extra: &str) -> (&'static str, String) {
+    let (user, item, stars) = (i * 17 % 60, i * 7 % 40, 1 + i / 10 % 5);
+    match i % 10 {
+        0 => (
+            "/v1/explain",
+            format!(r#"{{"user": {user}, "item": {item}, "interface": "item_average"{extra}}}"#),
+        ),
+        1 | 2 => (
+            "/v1/recommend",
+            format!(r#"{{"users": [{user}], "n": 5, "explain": true{extra}}}"#),
+        ),
+        3 if i % 50 == 23 => (
+            "/v1/rate/batch",
+            format!(
+                r#"{{"ops": [{{"user": {user}, "item": {item}, "value": {stars}.0}}, {{"user": {}, "item": {}, "value": {}.0}}, {{"user": {user}, "item": {}}}]{extra}}}"#,
+                (user + 1) % 60,
+                i * 13 % 40,
+                1 + i / 7 % 5,
+                i * 3 % 40,
+            ),
+        ),
+        3 => (
+            "/v1/rate",
+            format!(r#"{{"user": {user}, "item": {item}, "value": {stars}.0{extra}}}"#),
+        ),
+        _ => (
+            "/v1/recommend",
+            format!(
+                r#"{{"users": [{user}, {}], "n": 10{extra}}}"#,
+                (user + 1) % 60
+            ),
+        ),
+    }
+}
+
+/// Sends request `i` of the mix on a fresh connection. Every answer
+/// must be a 2xx carrying its trace id, a 422 withheld explanation, a
+/// 429 shed or a 504 deadline; a transport error fails the test.
+fn send_mixed(addr: std::net::SocketAddr, i: usize, extra: &str) -> u16 {
+    let (path, body) = mixed_request(i, extra);
+    let response = client::request(addr, "POST", path, &[], &body)
+        .unwrap_or_else(|e| panic!("transport error on {path} {body}: {e}"));
+    assert!(
+        matches!(response.status, 200..=299 | 422 | 429 | 504),
+        "{path} {body}: {} {}",
+        response.status,
+        response.body
+    );
+    if (200..300).contains(&response.status) {
+        assert!(
+            response
+                .header("x-exrec-trace-id")
+                .is_some_and(|id| !id.is_empty()),
+            "2xx without a trace id: {path} {body}"
+        );
+    }
+    response.status
+}
+
+/// `GET path` on its own connection; the body of a 200.
+fn get(addr: std::net::SocketAddr, path: &str) -> String {
+    let response = client::request(addr, "GET", path, &[], "").unwrap();
+    assert_eq!(response.status, 200, "{path}: {}", response.body);
+    response.body
+}
+
+#[test]
+fn mixed_traffic_keeps_statuses_exposition_and_debug_bodies_sound() {
+    let dir = std::env::temp_dir().join(format!("exrec-serve-mixed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("serve.wal");
+    let handle = start_server(|server, app| {
+        disarm_watchdog(server);
+        server.queue_bound = 2;
+        app.quality_sample_every = 1;
+        app.wal_path = Some(wal);
+    });
+    let addr = handle.addr();
+
+    // The mix, one request at a time, then a burst of fresh
+    // connections against the two-deep queue.
+    for i in 0..150 {
+        send_mixed(addr, i, "");
+    }
+    let start = Barrier::new(12);
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..12)
+            .map(|c| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (0..10)
+                        .map(|k| send_mixed(addr, 150 + c * 10 + k, r#", "deadline_ms": 1000"#))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    assert!(statuses.contains(&429), "the burst never filled the queue");
+
+    // The text exposition parses and carries every family.
+    let text = client::request(addr, "GET", "/metrics", &[("accept", "text/plain")], "").unwrap();
+    assert_eq!(
+        text.header("content-type"),
+        Some("text/plain; version=0.0.4")
+    );
+    let report = promcheck::check(&text.body);
+    assert!(report.is_ok(), "{:?}", report.errors);
+    for family in [
+        "serve_requests",
+        "serve_accepted",
+        "serve_connections",
+        "quality_samples",
+        "quality_fidelity",
+        "ingest_requests",
+        "ingest_ops_applied",
+        "wal_size_bytes",
+        "wal_records",
+        "wal_replayed",
+        "ts_ticks",
+        "ts_series",
+        "watch_incidents",
+        "watch_active",
+        "watch_flight_dumps",
+    ] {
+        assert!(report.has_family(family), "missing family {family}");
+    }
+    for prefix in [
+        "serve_latency_ns",
+        "quality_score",
+        "ingest_apply_ns",
+        "ingest_wal_append_ns",
+    ] {
+        assert!(
+            !report.families_with_prefix(prefix).is_empty(),
+            "no {prefix}* family"
+        );
+    }
+
+    // All seven debug bodies parse and show the traffic.
+    let profile: DebugProfileBody = serde_json::from_str(&get(addr, "/debug/profile")).unwrap();
+    assert!(profile
+        .routes
+        .iter()
+        .any(|route| route.name == "recommend" && route.calls > 0));
+    for line in profile.collapsed.lines() {
+        let (stack, self_ns) = line.rsplit_once(' ').expect("`stack self_ns`");
+        assert!(
+            !stack.is_empty() && self_ns.parse::<u64>().is_ok(),
+            "{line:?}"
+        );
+    }
+
+    let requests: DebugRequestsBody = serde_json::from_str(&get(addr, "/debug/requests")).unwrap();
+    assert!(requests
+        .requests
+        .iter()
+        .any(|record| !record.phases.is_empty()));
+
+    let quality: DebugQualityBody = serde_json::from_str(&get(addr, "/debug/quality")).unwrap();
+    assert!(!quality.offline.is_empty());
+    assert!(quality.online.samples > 0);
+    assert_eq!(quality.selection.len(), Aim::ALL.len());
+
+    let world = get(addr, "/debug/world");
+    let raw: serde_json::Value = serde_json::from_str(&world).unwrap();
+    for field in ["/scan/csr_patches", "/scan/index_patches"] {
+        assert!(raw.pointer(field).is_some(), "/debug/world lacks {field}");
+    }
+    let world: DebugWorldBody = serde_json::from_str(&world).unwrap();
+    assert!(world.users > 0 && world.items > 0 && world.ratings > 0);
+    assert!(!world.model.is_empty());
+
+    let ingest: DebugIngestBody = serde_json::from_str(&get(addr, "/debug/ingest")).unwrap();
+    assert!(ingest.requests > 0 && ingest.applied > 0 && ingest.revision > 0);
+    assert!(ingest.wal.expect("journaled").size_bytes > 0);
+
+    let ts: TsSnapshot = serde_json::from_str(&get(addr, "/debug/timeseries")).unwrap();
+    assert!(ts.schema > 0 && ts.interval_ns > 0 && ts.retention > 0 && ts.ticks > 0);
+    assert!(ts
+        .counters
+        .get("serve.accepted")
+        .is_some_and(|points| !points.is_empty()));
+    let points: Vec<_> = ts.histograms.values().flatten().collect();
+    assert!(!points.is_empty(), "no windowed histogram points");
+    assert!(points.iter().all(|point| point.p50_ns <= point.p99_ns));
+
+    let incidents: DebugIncidentsBody =
+        serde_json::from_str(&get(addr, "/debug/incidents")).unwrap();
+    assert!(incidents.schema > 0 && incidents.capacity > 0);
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn obs_top_renders_a_live_server() {
+    let handle = start_server(|server, app| {
+        disarm_watchdog(server);
+        app.quality_sample_every = 0;
+    });
+    let addr = handle.addr();
+    let mut client = Connection::open(addr).unwrap();
+    for _ in 0..40 {
+        let response = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [2], "n": 3}"#)
+            .unwrap();
+        assert_eq!(response.status, 200);
+        std::thread::sleep(Duration::from_millis(3));
+    }
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_obs_top"))
+        .args(["--once", "--addr", &addr.to_string()])
+        .output()
+        .expect("run obs_top");
+    assert!(output.status.success(), "{output:?}");
+    let frame = String::from_utf8(output.stdout).unwrap();
+    assert!(frame.contains(" · status ok · "), "{frame}");
+    assert!(
+        frame.lines().any(|line| line.starts_with("recommend ")),
+        "no recommend route row: {frame}"
+    );
+    assert!(frame.contains("incident log: 0 active"), "{frame}");
     handle.shutdown();
 }

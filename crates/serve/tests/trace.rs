@@ -11,94 +11,18 @@
 //!   per-route SLO standing, turning `degraded` when a fast-burn
 //!   window trips.
 
+mod common;
+
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use exrec_obs::{
     CountingSubscriber, Metrics, SloConfig, SpanEvent, Subscriber, TailConfig,
     TailSamplingSubscriber, Telemetry,
 };
-use exrec_serve::app::{AppConfig, ExplainApp};
+use exrec_serve::client;
 use exrec_serve::proto::HealthResponse;
-use exrec_serve::server::{self, ServerConfig, ServerHandle};
-
-/// A parsed client-side response.
-struct ClientResponse {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl ClientResponse {
-    fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// One-shot request over a fresh connection (each request is then the
-/// "first on its connection", so it gets a `serve.queue_wait` span).
-fn roundtrip(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    accept: Option<&str>,
-) -> ClientResponse {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let body = body.unwrap_or("");
-    let accept = accept
-        .map(|a| format!("accept: {a}\r\n"))
-        .unwrap_or_default();
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\n{accept}content-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    writer.write_all(request.as_bytes()).expect("send");
-
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').expect("header");
-        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_owned());
-        if name == "content-length" {
-            content_length = value.parse().expect("content-length");
-        }
-        headers.push((name, value));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    ClientResponse {
-        status,
-        headers,
-        body: String::from_utf8(body).expect("utf-8 body"),
-    }
-}
+use exrec_serve::server::{ServerConfig, ServerHandle};
 
 /// Starts a server whose subscriber is a tail sampler in front of a
 /// collector, returning both.
@@ -111,24 +35,11 @@ fn start_traced(
     let sampler = TailSamplingSubscriber::new(Arc::clone(&collector) as Arc<dyn Subscriber>, tail)
         .with_metrics(&metrics);
     let telemetry = Telemetry::new(metrics, Arc::new(sampler));
-    let mut server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_bound: 16,
-        default_deadline_ms: 10_000,
-        trace_seed: Some(42),
-        ..ServerConfig::default()
-    };
-    configure(&mut server_config);
-    let app_config = AppConfig {
-        n_users: 60,
-        n_items: 40,
-        density: 0.3,
-        pool_threads: 2,
-        ..AppConfig::default()
-    };
-    let app = ExplainApp::new(app_config, telemetry.clone());
-    let handle = server::start(app, server_config, telemetry.clone()).expect("start server");
+    let handle = common::start_server(telemetry.clone(), |server, app| {
+        server.trace_seed = Some(42);
+        app.pool_threads = 2;
+        configure(server);
+    });
     (handle, collector, telemetry)
 }
 
@@ -152,13 +63,14 @@ fn recommend_request_reconstructs_as_one_span_tree() {
         |_| {},
     );
 
-    let response = roundtrip(
+    let response = client::request(
         handle.addr(),
         "POST",
         "/v1/recommend",
-        Some(r#"{"users": [0, 1, 2, 3], "n": 3, "explain": true}"#),
-        None,
-    );
+        &[],
+        r#"{"users": [0, 1, 2, 3], "n": 3, "explain": true}"#,
+    )
+    .unwrap();
     assert_eq!(response.status, 200, "body: {}", response.body);
     let trace_hex = response
         .header("x-exrec-trace-id")
@@ -246,13 +158,14 @@ fn recommend_request_reconstructs_as_one_span_tree() {
 
     // A single-pair explain gathers its evidence in one timed model
     // call, and that call appears in the explain's own tree.
-    let response = roundtrip(
+    let response = client::request(
         handle.addr(),
         "POST",
         "/v1/explain",
-        Some(r#"{"user": 0, "item": 1}"#),
-        None,
-    );
+        &[],
+        r#"{"user": 0, "item": 1}"#,
+    )
+    .unwrap();
     assert_eq!(response.status, 200, "body: {}", response.body);
     let explain_hex = response
         .header("x-exrec-trace-id")
@@ -289,13 +202,14 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
         |_| {},
     );
 
-    let response = roundtrip(
+    let response = client::request(
         handle.addr(),
         "POST",
         "/v1/recommend",
-        Some(r#"{"users": [0, 1], "n": 2}"#),
-        None,
-    );
+        &[],
+        r#"{"users": [0, 1], "n": 2}"#,
+    )
+    .unwrap();
     assert_eq!(response.status, 200, "body: {}", response.body);
     // The trace id is still minted and returned even when the trace is
     // ultimately dropped — clients can always correlate.
@@ -339,9 +253,12 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
     });
 
     // Before any traffic: healthy, empty SLO map, zero saturation.
-    let before: HealthResponse =
-        serde_json::from_str(&roundtrip(handle.addr(), "GET", "/healthz", None, None).body)
-            .expect("healthz JSON");
+    let before: HealthResponse = serde_json::from_str(
+        &client::request(handle.addr(), "GET", "/healthz", &[], "")
+            .unwrap()
+            .body,
+    )
+    .expect("healthz JSON");
     assert_eq!(before.workers, 2);
     assert!(before.queue_saturation >= 0.0 && before.queue_saturation <= 1.0);
     assert!(
@@ -351,17 +268,21 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
     assert!(before.worker_saturation > 0.0 && before.worker_saturation <= 1.0);
 
     // Serve a request (it will miss the 0ns objective), then re-check.
-    let ok = roundtrip(
+    let ok = client::request(
         handle.addr(),
         "POST",
         "/v1/recommend",
-        Some(r#"{"users": [0], "n": 2}"#),
-        None,
-    );
+        &[],
+        r#"{"users": [0], "n": 2}"#,
+    )
+    .unwrap();
     assert_eq!(ok.status, 200);
-    let after: HealthResponse =
-        serde_json::from_str(&roundtrip(handle.addr(), "GET", "/healthz", None, None).body)
-            .expect("healthz JSON");
+    let after: HealthResponse = serde_json::from_str(
+        &client::request(handle.addr(), "GET", "/healthz", &[], "")
+            .unwrap()
+            .body,
+    )
+    .expect("healthz JSON");
     assert_eq!(after.status, "degraded");
     let rec = after.slo.get("recommend").expect("recommend route tracked");
     assert_eq!(rec.total, 1);
@@ -376,22 +297,30 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
 fn metrics_negotiates_prometheus_text_alongside_json() {
     let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |_| {});
     // Generate some traffic so the families exist.
-    let ok = roundtrip(
+    let ok = client::request(
         handle.addr(),
         "POST",
         "/v1/recommend",
-        Some(r#"{"users": [0, 1], "n": 2}"#),
-        None,
-    );
+        &[],
+        r#"{"users": [0, 1], "n": 2}"#,
+    )
+    .unwrap();
     assert_eq!(ok.status, 200);
 
     // Default: the JSON report, as before.
-    let json = roundtrip(handle.addr(), "GET", "/metrics", None, None);
+    let json = client::request(handle.addr(), "GET", "/metrics", &[], "").unwrap();
     assert_eq!(json.header("content-type"), Some("application/json"));
     assert!(json.body.contains("\"counters\""));
 
     // Accept: text/plain → exposition 0.0.4.
-    let text = roundtrip(handle.addr(), "GET", "/metrics", None, Some("text/plain"));
+    let text = client::request(
+        handle.addr(),
+        "GET",
+        "/metrics",
+        &[("accept", "text/plain")],
+        "",
+    )
+    .unwrap();
     assert_eq!(
         text.header("content-type"),
         Some("text/plain; version=0.0.4")
@@ -431,13 +360,14 @@ fn trace_ids_are_unique_across_requests() {
     let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |_| {});
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
     for i in 0..8 {
-        let response = roundtrip(
+        let response = client::request(
             handle.addr(),
             "POST",
             "/v1/explain",
-            Some(r#"{"user": 0, "item": 1}"#),
-            None,
-        );
+            &[],
+            r#"{"user": 0, "item": 1}"#,
+        )
+        .unwrap();
         let id = response
             .header("x-exrec-trace-id")
             .expect("trace header")
