@@ -23,7 +23,8 @@
 //!   watchdog's `Below` floors, the streak arms only after healthy
 //!   samples: a drop needs something to drop from, so an interface
 //!   that scores under the threshold from its first sample never
-//!   latches.
+//!   latches. The arming is monitor-wide and never cleared: healthy
+//!   samples of any interface arm the streak for all of them.
 //!
 //! The monitor never computes explanation quality itself — the edge
 //! measures (via `exrec-core`'s probes) and feeds scalars in. That
@@ -459,10 +460,16 @@ mod tests {
                 ..QualityConfig::default()
             },
         );
-        // Three healthy samples arm the streak; a low one in between
-        // restarts the count.
-        for score in [0.9, 0.9, 0.1, 0.9, 0.9, 0.9] {
+        // A stream that starts low has nothing to drop from: two healthy
+        // samples are one short of arming, so no low run latches.
+        for score in [0.1, 0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1] {
             assert!(!monitor.observe(&sample("histogram", score)));
+        }
+        assert_eq!(monitor.snapshot().low_streak, 4);
+        assert!(!monitor.sustained_low());
+        // Three healthy samples in a row arm the streak.
+        for _ in 0..3 {
+            assert!(!monitor.observe(&sample("histogram", 0.9)));
         }
         assert!(!monitor.observe(&sample("histogram", 0.1)));
         assert!(!monitor.observe(&sample("histogram", 0.1)));
@@ -475,26 +482,7 @@ mod tests {
             assert!(!monitor.observe(&sample("histogram", 0.1)));
         }
         assert!(monitor.observe(&sample("histogram", 0.1)));
-        assert_eq!(obs.report().counters["quality.low"], 7);
-    }
-
-    #[test]
-    fn a_stream_that_starts_low_never_latches() {
-        let monitor = QualityMonitor::new(
-            Telemetry::default(),
-            QualityConfig {
-                low_threshold: 0.5,
-                sustain: 3,
-                ..QualityConfig::default()
-            },
-        );
-        // Two healthy samples in a row never reach the arming count.
-        for score in [0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1] {
-            assert!(!monitor.observe(&sample("histogram", score)));
-        }
-        let snapshot = monitor.snapshot();
-        assert_eq!(snapshot.low_streak, 4);
-        assert!(!snapshot.sustained_low);
+        assert_eq!(obs.report().counters["quality.low"], 14);
     }
 
     #[test]

@@ -423,6 +423,19 @@ fn mixed_traffic_keeps_statuses_exposition_and_debug_bodies_sound() {
         serde_json::from_str(&get(addr, "/debug/incidents")).unwrap();
     assert!(incidents.schema > 0 && incidents.capacity > 0);
 
+    // Every explain was quality-sampled, and nothing dropped: the low
+    // streak never latched and the server still reports itself healthy.
+    assert!(
+        incidents
+            .incidents
+            .iter()
+            .all(|incident| incident.rule != "quality_sustained_low"),
+        "{:?}",
+        incidents.incidents
+    );
+    let health: HealthResponse = serde_json::from_str(&get(addr, "/healthz")).unwrap();
+    assert_eq!(health.status, "ok", "{:?}", health.quality);
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
