@@ -21,7 +21,8 @@
 //! `perfbench --trace 1`; `docs/kernels.md#pruned-probing` walks
 //! through the semantics and the exact-fallback rules.
 
-use crate::kernel::CsrRatings;
+use exrec_data::RatingsMatrix;
+use exrec_types::{ItemId, UserId};
 
 /// Configuration for [`CandidateIndex::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,11 +119,11 @@ pub struct CandidateIndex {
 }
 
 impl CandidateIndex {
-    /// Clusters `csr`'s users under `cfg`. `O(iterations · sample ·
+    /// Clusters `ratings`' users under `cfg`. `O(iterations · sample ·
     /// row · C)` to refine, plus one full assignment pass.
-    pub fn build(csr: &CsrRatings, cfg: &IndexConfig) -> Self {
-        let n_users = csr.n_users();
-        let n_items = csr.n_items();
+    pub fn build(ratings: &RatingsMatrix, cfg: &IndexConfig) -> Self {
+        let n_users = ratings.n_users();
+        let n_items = ratings.n_items();
         let c = cfg.resolve_centroids(n_users);
         let probes = cfg.resolve_probes(c);
         let mut vals = vec![0.0f64; n_items * c];
@@ -132,7 +133,7 @@ impl CandidateIndex {
         // space from a seeded offset so clusters start spread out.
         let seeds = {
             let mut non_empty: Vec<u32> = (0..n_users as u32)
-                .filter(|&u| csr.row_len(u as usize) > 0)
+                .filter(|&u| !ratings.user_ratings(UserId(u)).is_empty())
                 .collect();
             if non_empty.is_empty() {
                 non_empty.extend(0..n_users.min(c) as u32);
@@ -155,10 +156,9 @@ impl CandidateIndex {
             picked
         };
         for (ci, &u) in seeds.iter().enumerate() {
-            let (items, row_vals) = csr.row(u as usize);
-            let mean = csr.user_mean_or(u as usize, 0.0);
-            for (idx, &item) in items.iter().enumerate() {
-                vals[item as usize * c + ci] = row_vals[idx] - mean;
+            let (row, mean) = centred_row(ratings, u);
+            for &(item, value) in row {
+                vals[item.index() * c + ci] = value - mean;
             }
         }
         recompute_norms(&vals, &mut norms, n_items, c);
@@ -175,12 +175,11 @@ impl CandidateIndex {
             let mut counts = vec![0u64; c];
             let mut u = 0usize;
             while u < n_users {
-                if csr.row_len(u) > 0 {
-                    let ci = assign(csr, u, &vals, &norms, c, &mut scores);
-                    let (items, row_vals) = csr.row(u);
-                    let mean = csr.user_mean_or(u, 0.0);
-                    for (idx, &item) in items.iter().enumerate() {
-                        acc[item as usize * c + ci] += row_vals[idx] - mean;
+                let (row, mean) = centred_row(ratings, u as u32);
+                if !row.is_empty() {
+                    let ci = assign(row, mean, &vals, &norms, c, &mut scores);
+                    for &(item, value) in row {
+                        acc[item.index() * c + ci] += value - mean;
                     }
                     counts[ci] += 1;
                 }
@@ -205,16 +204,17 @@ impl CandidateIndex {
         // clusters: they carry no signal and never score anyway.
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); c];
         for u in 0..n_users {
-            let ci = if csr.row_len(u) == 0 {
+            let (row, mean) = centred_row(ratings, u as u32);
+            let ci = if row.is_empty() {
                 u % c
             } else {
-                assign(csr, u, &vals, &norms, c, &mut scores)
+                assign(row, mean, &vals, &norms, c, &mut scores)
             };
             members[ci].push(u as u32);
         }
 
         CandidateIndex {
-            revision: csr.revision(),
+            revision: ratings.revision(),
             n_users,
             probes,
             members,
@@ -224,7 +224,7 @@ impl CandidateIndex {
     }
 
     /// Re-routes `users` to their nearest centroid against the *frozen*
-    /// geometry, returning an index stamped with `csr`'s revision. This
+    /// geometry, returning an index stamped with `ratings`' revision. This
     /// is the incremental write path: a rating write moves one user's
     /// row, so only that user's cluster membership can change — the
     /// centroids themselves stay put (they are `Arc`-shared, not
@@ -234,7 +234,7 @@ impl CandidateIndex {
     /// final pass (cosine, ties toward the lowest centroid id; empty
     /// rows round-robin by id), so a user whose row did not meaningfully
     /// move stays in the same cluster.
-    pub fn reassign(&self, csr: &CsrRatings, users: &[u32]) -> CandidateIndex {
+    pub fn reassign(&self, ratings: &RatingsMatrix, users: &[u32]) -> CandidateIndex {
         let c = self.n_centroids();
         let mut members = self.members.clone();
         let mut scores = vec![0.0f64; c];
@@ -242,10 +242,11 @@ impl CandidateIndex {
             if (u as usize) >= self.n_users || c == 0 {
                 continue;
             }
-            let target = if csr.row_len(u as usize) == 0 {
+            let (row, mean) = centred_row(ratings, u);
+            let target = if row.is_empty() {
                 (u as usize) % c
             } else {
-                assign(csr, u as usize, &self.vals, &self.norms, c, &mut scores)
+                assign(row, mean, &self.vals, &self.norms, c, &mut scores)
             };
             let current = members
                 .iter()
@@ -265,7 +266,7 @@ impl CandidateIndex {
             }
         }
         CandidateIndex {
-            revision: csr.revision(),
+            revision: ratings.revision(),
             n_users: self.n_users,
             probes: self.probes,
             members,
@@ -302,18 +303,17 @@ impl CandidateIndex {
     /// ties toward the lower centroid id). A user with an empty row has
     /// no signal to route on and gets an empty set, which the caller's
     /// fallback floor turns into an exact scan.
-    pub fn candidates(&self, csr: &CsrRatings, user: u32) -> Vec<u32> {
+    pub fn candidates(&self, ratings: &RatingsMatrix, user: u32) -> Vec<u32> {
         let c = self.n_centroids();
         if c == 0 {
             return Vec::new();
         }
-        let (items, row_vals) = csr.row(user as usize);
-        if items.is_empty() {
+        let (row, mean) = centred_row(ratings, user);
+        if row.is_empty() {
             return Vec::new();
         }
         let mut scores = vec![0.0f64; c];
-        let mean = csr.user_mean_or(user as usize, 0.0);
-        score_row(items, row_vals, mean, &self.vals, c, &mut scores);
+        score_row(row, mean, &self.vals, c, &mut scores);
         for (score, &norm) in scores.iter_mut().zip(self.norms.iter()) {
             if norm > 0.0 {
                 *score /= norm;
@@ -339,6 +339,16 @@ impl CandidateIndex {
     }
 }
 
+/// A user's row and its mean (`0.0` for an empty row), the two halves
+/// of the mean-centred rating vector the clustering works on.
+fn centred_row(ratings: &RatingsMatrix, user: u32) -> (&[(ItemId, f64)], f64) {
+    let user = UserId(user);
+    (
+        ratings.user_ratings(user),
+        ratings.user_mean(user).unwrap_or(0.0),
+    )
+}
+
 /// Accumulates `(row − mean) · centroid_c` for all centroids at once
 /// from the item-major centroid table. Rows are mean-centred so the
 /// clustering geometry matches Pearson-style "taste after removing the
@@ -346,18 +356,11 @@ impl CandidateIndex {
 /// 1–5 star data every raw row points the same direction, and
 /// clusters built there separate by popularity, not preference.
 #[inline]
-fn score_row(
-    items: &[u32],
-    row_vals: &[f64],
-    mean: f64,
-    vals: &[f64],
-    c: usize,
-    scores: &mut [f64],
-) {
+fn score_row(row: &[(ItemId, f64)], mean: f64, vals: &[f64], c: usize, scores: &mut [f64]) {
     scores.fill(0.0);
-    for (idx, &item) in items.iter().enumerate() {
-        let x = row_vals[idx] - mean;
-        let base = item as usize * c;
+    for &(item, value) in row {
+        let x = value - mean;
+        let base = item.index() * c;
         for (ci, s) in scores.iter_mut().enumerate() {
             *s += x * vals[base + ci];
         }
@@ -367,16 +370,14 @@ fn score_row(
 /// Assigns one (non-empty) user row to its nearest centroid by cosine
 /// score, ties toward the lowest centroid id.
 fn assign(
-    csr: &CsrRatings,
-    user: usize,
+    row: &[(ItemId, f64)],
+    mean: f64,
     vals: &[f64],
     norms: &[f64],
     c: usize,
     scores: &mut [f64],
 ) -> usize {
-    let (items, row_vals) = csr.row(user);
-    let mean = csr.user_mean_or(user, 0.0);
-    score_row(items, row_vals, mean, vals, c, scores);
+    score_row(row, mean, vals, c, scores);
     let mut best = 0usize;
     let mut best_score = f64::NEG_INFINITY;
     for ci in 0..c {
@@ -410,8 +411,7 @@ fn recompute_norms(vals: &[f64], norms: &mut [f64], n_items: usize, c: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exrec_data::RatingsMatrix;
-    use exrec_types::{ItemId, RatingScale, UserId};
+    use exrec_types::RatingScale;
 
     /// Two obvious taste blocks: users 0..10 love items 0..5 and pan
     /// items 5..10; users 10..20 are the mirror image. Everyone rates
@@ -463,8 +463,7 @@ mod tests {
     #[test]
     fn members_partition_all_users_sorted() {
         let m = blocky_matrix();
-        let csr = CsrRatings::from_matrix(&m);
-        let index = CandidateIndex::build(&csr, &cfg(4, 2));
+        let index = CandidateIndex::build(&m, &cfg(4, 2));
         let mut all: Vec<u32> = index.members.iter().flatten().copied().collect();
         assert!(index
             .members
@@ -478,9 +477,8 @@ mod tests {
     #[test]
     fn blocks_separate_and_candidates_find_own_block() {
         let m = blocky_matrix();
-        let csr = CsrRatings::from_matrix(&m);
-        let index = CandidateIndex::build(&csr, &cfg(2, 1));
-        let cands = index.candidates(&csr, 0);
+        let index = CandidateIndex::build(&m, &cfg(2, 1));
+        let cands = index.candidates(&m, 0);
         assert!(cands.contains(&1), "same-taste user is a candidate");
         assert!(
             !cands.contains(&15),
@@ -491,25 +489,23 @@ mod tests {
             "sorted, deduplicated"
         );
         // Probing every centroid recovers the full user set.
-        let wide = CandidateIndex::build(&csr, &cfg(2, 2));
-        assert_eq!(wide.candidates(&csr, 0).len(), 20);
+        let wide = CandidateIndex::build(&m, &cfg(2, 2));
+        assert_eq!(wide.candidates(&m, 0).len(), 20);
     }
 
     #[test]
     fn build_is_deterministic() {
         let m = blocky_matrix();
-        let csr = CsrRatings::from_matrix(&m);
-        let a = CandidateIndex::build(&csr, &cfg(4, 2));
-        let b = CandidateIndex::build(&csr, &cfg(4, 2));
+        let a = CandidateIndex::build(&m, &cfg(4, 2));
+        let b = CandidateIndex::build(&m, &cfg(4, 2));
         assert_eq!(a.members, b.members);
-        assert_eq!(a.candidates(&csr, 7), b.candidates(&csr, 7));
+        assert_eq!(a.candidates(&m, 7), b.candidates(&m, 7));
     }
 
     #[test]
     fn reassign_moves_only_touched_users() {
         let mut m = blocky_matrix();
-        let csr = CsrRatings::from_matrix(&m);
-        let index = CandidateIndex::build(&csr, &cfg(2, 1));
+        let index = CandidateIndex::build(&m, &cfg(2, 1));
         let cluster_of = |index: &CandidateIndex, u: u32| {
             index
                 .members
@@ -527,9 +523,8 @@ mod tests {
             m.rate(UserId(0), ItemId(i), if loved { 5.0 } else { 1.0 })
                 .unwrap();
         }
-        let csr2 = CsrRatings::from_matrix(&m);
-        let patched = index.reassign(&csr2, &[0]);
-        assert_eq!(patched.revision(), csr2.revision());
+        let patched = index.reassign(&m, &[0]);
+        assert_eq!(patched.revision(), m.revision());
         assert_eq!(
             cluster_of(&patched, 0),
             before_15,
@@ -549,7 +544,7 @@ mod tests {
             .all(|list| list.windows(2).all(|w| w[0] < w[1])));
 
         // A user whose row did not move stays put even when listed.
-        let stable = index.reassign(&csr, &[7]);
+        let stable = index.reassign(&m, &[7]);
         assert_eq!(stable.members, index.members);
     }
 
@@ -558,8 +553,7 @@ mod tests {
         let mut m = RatingsMatrix::new(5, 3, RatingScale::FIVE_STAR);
         m.rate(UserId(0), ItemId(0), 4.0).unwrap();
         m.rate(UserId(1), ItemId(0), 5.0).unwrap();
-        let csr = CsrRatings::from_matrix(&m);
-        let index = CandidateIndex::build(&csr, &cfg(2, 1));
-        assert!(index.candidates(&csr, 4).is_empty());
+        let index = CandidateIndex::build(&m, &cfg(2, 1));
+        assert!(index.candidates(&m, 4).is_empty());
     }
 }

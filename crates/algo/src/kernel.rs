@@ -1,4 +1,4 @@
-//! CSR-tiled sparse similarity kernel — the sub-linear neighbour scan.
+//! Tiled sparse similarity kernel — the sub-linear neighbour scan.
 //!
 //! The seed's user-kNN hot path recomputed `sim(u, v)` from the live
 //! [`RatingsMatrix`] once per *(candidate item, rater)* pair: a
@@ -8,31 +8,27 @@
 //! per second (see `docs/kernels.md`).
 //!
 //! This module replaces that scan with a cache-blocked sparse kernel
-//! over a CSR-compacted snapshot of the matrix:
+//! that reads the served matrix itself, the one store every write
+//! changes:
 //!
-//! * [`CsrRatings`] — an immutable, revision-stamped CSR/CSC compaction
-//!   of the ratings: user-major rows and item-major columns in four
-//!   flat arrays, plus precomputed per-user means. Contiguous storage
-//!   is what makes the kernel's inner loops stream instead of chase
-//!   `Vec<Vec<…>>` pointers.
 //! * [`scan_similarities`] — one pass per *request* instead of one
 //!   merge per pair: the candidate (user) dimension is cut into tiles,
-//!   the target user's items are walked once per tile, and co-rating
-//!   partials accumulate into per-tile scratch blocks sized to stay in
-//!   cache. Per-candidate co-rating pairs are gathered in item order —
-//!   exactly the order [`exrec_data::RatingsMatrix::co_rated`]
-//!   produces — and scored by the *same* similarity functions, so the
-//!   kernel's similarities are bit-identical to the seed's.
+//!   the target user's row is walked once per tile, and each item's
+//!   column (its raters, in user order) drops the in-tile raters'
+//!   co-rating pairs into per-candidate slots. Each candidate's pairs
+//!   land in item order — exactly the order
+//!   [`RatingsMatrix::co_rated`] produces — and are scored by the
+//!   *same* similarity functions, so the kernel's similarities are
+//!   bit-identical to the seed's.
 //! * [`autotune`] — a startup micro-sweep over [`TILE_CANDIDATES`]
 //!   that times the kernel on a few sample users and picks the
 //!   fastest tile size. Tile size never changes results (tiles
 //!   partition candidates; each candidate's pairs are gathered whole),
 //!   so the tuner optimizes purely over a correctness-invariant axis.
-//! * [`ScanEngine`] — the shared, revision-keyed holder of the CSR
-//!   snapshot, the tuned tile size and the cluster-pruned
-//!   [`CandidateIndex`]: stale snapshots
-//!   are rebuilt when the matrix revision moves, and scan counters
-//!   export through `exrec-obs` under `scan.<name>.*`.
+//! * [`ScanEngine`] — the shared holder of the tuned tile size and the
+//!   cluster-pruned [`CandidateIndex`]: the index is reassigned from
+//!   write deltas or rebuilt when the matrix revision moves, and scan
+//!   counters export through `exrec-obs` under `scan.<name>.*`.
 //!
 //! Attach an engine to a model with
 //! [`UserKnn::with_engine`](crate::UserKnn::with_engine); see
@@ -49,298 +45,6 @@ use parking_lot::RwLock;
 
 use crate::index::{CandidateIndex, IndexConfig};
 use crate::similarity::{self, Similarity};
-
-/// An immutable CSR/CSC compaction of a [`RatingsMatrix`], stamped with
-/// the revision it was built from.
-///
-/// Rows (user-major) drive "which items did `u` rate"; columns
-/// (item-major) drive "who rated item `i`". Both sides keep ids sorted
-/// ascending, exactly like the source matrix, so merges and binary
-/// searches carry over unchanged — just over flat, contiguous arrays.
-#[derive(Debug, Clone)]
-pub struct CsrRatings {
-    revision: u64,
-    n_users: usize,
-    n_items: usize,
-    /// `row_ptr[u]..row_ptr[u + 1]` indexes `row_items` / `row_vals`.
-    row_ptr: Vec<usize>,
-    /// Item ids of each user's ratings, ascending within a row.
-    row_items: Vec<u32>,
-    /// Rating values, parallel to `row_items`.
-    row_vals: Vec<f64>,
-    /// `col_ptr[i]..col_ptr[i + 1]` indexes `col_users` / `col_vals`.
-    col_ptr: Vec<usize>,
-    /// User ids of each item's raters, ascending within a column.
-    col_users: Vec<u32>,
-    /// Rating values, parallel to `col_users`.
-    col_vals: Vec<f64>,
-    /// Per-user mean rating, `0.0` for empty rows. Computed with the
-    /// same left-to-right fold as [`RatingsMatrix::user_mean`], so the
-    /// values are bit-identical to the live matrix's.
-    user_mean: Vec<f64>,
-}
-
-impl CsrRatings {
-    /// Compacts `ratings` into CSR form. `O(n_ratings)`.
-    pub fn from_matrix(ratings: &RatingsMatrix) -> Self {
-        let n_users = ratings.n_users();
-        let n_items = ratings.n_items();
-        let nnz = ratings.n_ratings();
-
-        let mut row_ptr = Vec::with_capacity(n_users + 1);
-        let mut row_items = Vec::with_capacity(nnz);
-        let mut row_vals = Vec::with_capacity(nnz);
-        let mut user_mean = Vec::with_capacity(n_users);
-        row_ptr.push(0);
-        for u in 0..n_users {
-            let row = ratings.user_ratings(UserId::new(u as u32));
-            for &(item, value) in row {
-                row_items.push(item.raw());
-                row_vals.push(value);
-            }
-            row_ptr.push(row_items.len());
-            let mean = if row.is_empty() {
-                0.0
-            } else {
-                // Same fold as RatingsMatrix::user_mean: iterator sum
-                // over values in item order, divided by the length.
-                row.iter().map(|&(_, v)| v).sum::<f64>() / row.len() as f64
-            };
-            user_mean.push(mean);
-        }
-
-        let mut col_ptr = Vec::with_capacity(n_items + 1);
-        let mut col_users = Vec::with_capacity(nnz);
-        let mut col_vals = Vec::with_capacity(nnz);
-        col_ptr.push(0);
-        for i in 0..n_items {
-            let col = ratings.item_ratings(exrec_types::ItemId::new(i as u32));
-            for &(user, value) in col {
-                col_users.push(user.raw());
-                col_vals.push(value);
-            }
-            col_ptr.push(col_users.len());
-        }
-
-        CsrRatings {
-            revision: ratings.revision(),
-            n_users,
-            n_items,
-            row_ptr,
-            row_items,
-            row_vals,
-            col_ptr,
-            col_users,
-            col_vals,
-            user_mean,
-        }
-    }
-
-    /// The matrix revision this snapshot was compacted from.
-    #[inline]
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Number of users in the id space.
-    #[inline]
-    pub fn n_users(&self) -> usize {
-        self.n_users
-    }
-
-    /// Number of items in the id space.
-    #[inline]
-    pub fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    /// Stored ratings.
-    #[inline]
-    pub fn n_ratings(&self) -> usize {
-        self.row_items.len()
-    }
-
-    /// A user's row: parallel `(item ids, values)` slices, ascending by
-    /// item. Empty for out-of-range users.
-    #[inline]
-    pub fn row(&self, user: usize) -> (&[u32], &[f64]) {
-        if user + 1 >= self.row_ptr.len() {
-            return (&[], &[]);
-        }
-        let (a, b) = (self.row_ptr[user], self.row_ptr[user + 1]);
-        (&self.row_items[a..b], &self.row_vals[a..b])
-    }
-
-    /// An item's column: parallel `(user ids, values)` slices, ascending
-    /// by user. Empty for out-of-range items.
-    #[inline]
-    pub fn col(&self, item: usize) -> (&[u32], &[f64]) {
-        if item + 1 >= self.col_ptr.len() {
-            return (&[], &[]);
-        }
-        let (a, b) = (self.col_ptr[item], self.col_ptr[item + 1]);
-        (&self.col_users[a..b], &self.col_vals[a..b])
-    }
-
-    /// Number of ratings in a user's row.
-    #[inline]
-    pub fn row_len(&self, user: usize) -> usize {
-        if user + 1 >= self.row_ptr.len() {
-            0
-        } else {
-            self.row_ptr[user + 1] - self.row_ptr[user]
-        }
-    }
-
-    /// The user's mean rating, or `default` when the row is empty (the
-    /// same contract as `user_mean(u).unwrap_or(default)` on the live
-    /// matrix, with bit-identical means).
-    #[inline]
-    pub fn user_mean_or(&self, user: usize, default: f64) -> f64 {
-        if self.row_len(user) == 0 {
-            default
-        } else {
-            self.user_mean[user]
-        }
-    }
-
-    /// Builds the snapshot for the matrix state *after* `deltas`, by
-    /// splicing the touched rows/columns and copying everything else
-    /// wholesale — `O(nnz)` memcpy instead of re-walking the matrix,
-    /// and crucially without re-running the autotune sweep.
-    ///
-    /// The result is **bit-identical** to [`CsrRatings::from_matrix`]
-    /// on the mutated matrix: touched rows are merged in ascending id
-    /// order exactly as the matrix stores them, and touched users'
-    /// means are recomputed with the same left-to-right fold (asserted
-    /// by `patched_csr_is_bit_identical_to_fresh` in the tests).
-    ///
-    /// `deltas` must describe consecutive revisions starting at
-    /// `self.revision() + 1`; the engine's chain check enforces this
-    /// before calling.
-    pub fn apply_deltas(&self, deltas: &[RatingDelta]) -> CsrRatings {
-        use std::collections::BTreeMap;
-        // Last write wins per cell; BTreeMaps keep the changed ids in
-        // the ascending order the splice needs.
-        let mut row_changes: BTreeMap<u32, BTreeMap<u32, Option<f64>>> = BTreeMap::new();
-        let mut col_changes: BTreeMap<u32, BTreeMap<u32, Option<f64>>> = BTreeMap::new();
-        for d in deltas {
-            row_changes
-                .entry(d.user.raw())
-                .or_default()
-                .insert(d.item.raw(), d.value);
-            col_changes
-                .entry(d.item.raw())
-                .or_default()
-                .insert(d.user.raw(), d.value);
-        }
-
-        /// Merges one sorted id/value row with its sorted change set.
-        fn splice(
-            ids: &[u32],
-            vals: &[f64],
-            changes: &BTreeMap<u32, Option<f64>>,
-            out_ids: &mut Vec<u32>,
-            out_vals: &mut Vec<f64>,
-        ) {
-            let mut pending = changes.iter().peekable();
-            for (idx, &id) in ids.iter().enumerate() {
-                while let Some(&(&cid, value)) = pending.peek() {
-                    if cid >= id {
-                        break;
-                    }
-                    if let Some(v) = value {
-                        out_ids.push(cid);
-                        out_vals.push(*v);
-                    }
-                    pending.next();
-                }
-                match pending.peek() {
-                    Some(&(&cid, value)) if cid == id => {
-                        if let Some(v) = value {
-                            out_ids.push(id);
-                            out_vals.push(*v);
-                        }
-                        pending.next();
-                    }
-                    _ => {
-                        out_ids.push(id);
-                        out_vals.push(vals[idx]);
-                    }
-                }
-            }
-            for (&cid, value) in pending {
-                if let Some(v) = value {
-                    out_ids.push(cid);
-                    out_vals.push(*v);
-                }
-            }
-        }
-
-        let grow = deltas.len();
-        let mut row_ptr = Vec::with_capacity(self.n_users + 1);
-        let mut row_items = Vec::with_capacity(self.row_items.len() + grow);
-        let mut row_vals = Vec::with_capacity(self.row_vals.len() + grow);
-        let mut user_mean = Vec::with_capacity(self.n_users);
-        row_ptr.push(0);
-        for u in 0..self.n_users {
-            let start = row_items.len();
-            match row_changes.get(&(u as u32)) {
-                None => {
-                    let (ids, vals) = self.row(u);
-                    row_items.extend_from_slice(ids);
-                    row_vals.extend_from_slice(vals);
-                    user_mean.push(self.user_mean[u]);
-                }
-                Some(changes) => {
-                    let (ids, vals) = self.row(u);
-                    splice(ids, vals, changes, &mut row_items, &mut row_vals);
-                    let row = &row_vals[start..];
-                    // Same fold as RatingsMatrix::user_mean.
-                    let mean = if row.is_empty() {
-                        0.0
-                    } else {
-                        row.iter().sum::<f64>() / row.len() as f64
-                    };
-                    user_mean.push(mean);
-                }
-            }
-            row_ptr.push(row_items.len());
-        }
-
-        let mut col_ptr = Vec::with_capacity(self.n_items + 1);
-        let mut col_users = Vec::with_capacity(self.col_users.len() + grow);
-        let mut col_vals = Vec::with_capacity(self.col_vals.len() + grow);
-        col_ptr.push(0);
-        for i in 0..self.n_items {
-            match col_changes.get(&(i as u32)) {
-                None => {
-                    let (ids, vals) = self.col(i);
-                    col_users.extend_from_slice(ids);
-                    col_vals.extend_from_slice(vals);
-                }
-                Some(changes) => {
-                    let (ids, vals) = self.col(i);
-                    splice(ids, vals, changes, &mut col_users, &mut col_vals);
-                }
-            }
-            col_ptr.push(col_users.len());
-        }
-
-        CsrRatings {
-            revision: deltas.last().map(|d| d.revision).unwrap_or(self.revision),
-            n_users: self.n_users,
-            n_items: self.n_items,
-            row_ptr,
-            row_items,
-            row_vals,
-            col_ptr,
-            col_users,
-            col_vals,
-            user_mean,
-        }
-    }
-}
 
 /// The similarity-measure parameters a scan applies per candidate —
 /// the subset of [`UserKnnConfig`](crate::user_knn::UserKnnConfig)
@@ -359,8 +63,14 @@ impl SimParams {
     /// Scores one candidate from its gathered co-rating pairs. This is
     /// a line-for-line port of the brute path's per-pair similarity,
     /// taking the already-merged pairs (in item order) instead of
-    /// re-merging.
-    fn score(&self, csr: &CsrRatings, user: usize, cand: usize, pairs: &[(f64, f64)]) -> f64 {
+    /// re-merging. `target` is the scanned user's `(row length, mean)`.
+    fn score(
+        &self,
+        ratings: &RatingsMatrix,
+        target: (usize, f64),
+        cand: UserId,
+        pairs: &[(f64, f64)],
+    ) -> f64 {
         if pairs.len() < self.min_overlap {
             return 0.0;
         }
@@ -368,14 +78,13 @@ impl SimParams {
             Similarity::Pearson => similarity::pearson(pairs),
             Similarity::Cosine => similarity::cosine(pairs),
             Similarity::AdjustedCosine => {
-                let ma = csr.user_mean_or(user, 0.0);
-                let mb = csr.user_mean_or(cand, 0.0);
+                let (ma, mb) = (target.1, ratings.user_mean(cand).unwrap_or_default());
                 let centred: Vec<(f64, f64)> =
                     pairs.iter().map(|&(x, y)| (x - ma, y - mb)).collect();
                 similarity::adjusted_cosine(&centred)
             }
             Similarity::Jaccard => {
-                similarity::jaccard(pairs.len(), csr.row_len(user), csr.row_len(cand))
+                similarity::jaccard(pairs.len(), target.0, ratings.user_ratings(cand).len())
             }
         };
         similarity::significance_weight(raw, pairs.len(), self.significance)
@@ -394,6 +103,11 @@ pub struct ScanOutcome {
     pub pairs: u64,
 }
 
+/// Most pair slots one tile of [`scan_similarities`] may own (tile width
+/// × the target row's length): 2 MiB of `(f64, f64)` pairs, so a long
+/// row narrows the tile instead of growing the scratch.
+const MAX_TILE_SLOTS: usize = 1 << 17;
+
 /// Computes `sim(user, v)` for every candidate `v`, writing into the
 /// dense `sims` table (`sims[v]`, zero elsewhere — matching the seed's
 /// semantics, where a pair below `min_overlap` or with no co-ratings
@@ -402,100 +116,63 @@ pub struct ScanOutcome {
 /// `candidates` of `None` scans the full user dimension (exact mode);
 /// `Some(list)` restricts the scan to a sorted, deduplicated id list
 /// (pruned mode, or a single item's raters). The candidate dimension is
-/// processed in `tile_users`-sized tiles; per tile, the target user's
-/// row is walked once and each item column's in-tile range accumulates
-/// co-rating counts, then pairs, then per-candidate scores. Pairs per
-/// candidate are gathered in item order — the `co_rated` merge order —
-/// so scores are bit-identical to the per-pair path for any tile size.
+/// processed in `tile_users`-sized tiles, in one pass per tile: every
+/// in-tile candidate owns `|row(user)|` pair slots, the target user's
+/// row is walked in item order, and each item's in-tile raters append
+/// their co-rating pair to their own slots; then every candidate with a
+/// pair is scored. Pairs per candidate land in item order — the
+/// `co_rated` merge order — so scores are bit-identical to the
+/// per-pair path for any tile size.
 pub fn scan_similarities(
-    csr: &CsrRatings,
+    ratings: &RatingsMatrix,
     params: &SimParams,
     user: UserId,
     candidates: Option<&[u32]>,
     tile_users: usize,
     sims: &mut Vec<f64>,
 ) -> ScanOutcome {
-    let n_users = csr.n_users();
+    let n_users = ratings.n_users();
     sims.clear();
     sims.resize(n_users, 0.0);
     let mut outcome = ScanOutcome::default();
 
-    let u = user.index();
-    let (u_items, u_vals) = csr.row(u);
-    if u_items.is_empty() {
+    let row = ratings.user_ratings(user);
+    if row.is_empty() {
         return outcome;
     }
-    let tile = tile_users.max(1);
-
-    // Per-tile scratch, reused across tiles.
-    let mut counts: Vec<u32> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    let mut cursor: Vec<usize> = Vec::new();
-    let mut pairs: Vec<(f64, f64)> = Vec::new();
-    // Per-item column subranges for the current tile, so pass 2 reuses
-    // pass 1's binary searches.
-    let mut ranges: Vec<(usize, usize)> = vec![(0, 0); u_items.len()];
+    let target = (row.len(), ratings.user_mean(user).unwrap_or_default());
+    // Candidate `slot` owns `pairs[slot * m..][..m]`, of which the first
+    // `counts[slot]` are filled; reused across tiles. A long row narrows
+    // the tile so the slots stay within `MAX_TILE_SLOTS`.
+    let m = row.len();
+    let tile = tile_users.clamp(1, (MAX_TILE_SLOTS / m).max(1));
+    let width = tile.min(candidates.map_or(n_users, <[u32]>::len));
+    let mut pairs: Vec<(f64, f64)> = vec![(0.0, 0.0); width * m];
+    let mut counts: Vec<u32> = Vec::with_capacity(width);
 
     let mut scan_tile = |members: TileMembers<'_>| {
-        let width = members.len();
         counts.clear();
-        counts.resize(width, 0);
-
-        // Pass 1: count co-ratings per in-tile candidate.
-        let mut total = 0usize;
-        for (idx, &item) in u_items.iter().enumerate() {
-            let (cu, _) = csr.col(item as usize);
-            let (lo, hi) = members.column_range(cu);
-            ranges[idx] = (lo, hi);
-            for &v in &cu[lo..hi] {
-                if let Some(slot) = members.slot(v) {
-                    counts[slot] += 1;
-                    total += 1;
+        counts.resize(members.len(), 0);
+        for &(item, x) in row {
+            for &(v, y) in members.column_range(ratings.item_ratings(item)) {
+                if let Some(slot) = members.slot(v.raw()) {
+                    let filled = &mut counts[slot];
+                    pairs[slot * m + *filled as usize] = (x, y);
+                    *filled += 1;
                 }
             }
         }
         outcome.tiles += 1;
-        if total == 0 {
-            return;
-        }
-
-        // Prefix-sum offsets; gather pairs in item order per candidate.
-        offsets.clear();
-        offsets.reserve(width);
-        let mut acc = 0usize;
-        for &c in counts.iter() {
-            offsets.push(acc);
-            acc += c as usize;
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&offsets);
-        pairs.clear();
-        pairs.resize(total, (0.0, 0.0));
-        for (idx, &x) in u_vals.iter().enumerate() {
-            let (cu, cv) = csr.col(u_items[idx] as usize);
-            let (lo, hi) = ranges[idx];
-            for j in lo..hi {
-                if let Some(slot) = members.slot(cu[j]) {
-                    pairs[cursor[slot]] = (x, cv[j]);
-                    cursor[slot] += 1;
-                }
-            }
-        }
-
-        // Pass 3: score every candidate that co-rated anything.
-        for slot in 0..width {
-            let cnt = counts[slot] as usize;
-            if cnt == 0 {
+        for (slot, &filled) in counts.iter().enumerate() {
+            let v = UserId(members.user_at(slot));
+            if filled == 0 || v == user {
                 continue;
             }
-            let v = members.user_at(slot) as usize;
-            if v == u {
-                continue;
-            }
-            let span = &pairs[offsets[slot]..offsets[slot] + cnt];
-            sims[v] = params.score(csr, u, v, span);
+            let start = slot * m;
+            sims[v.index()] =
+                params.score(ratings, target, v, &pairs[start..start + filled as usize]);
             outcome.scored += 1;
-            outcome.pairs += cnt as u64;
+            outcome.pairs += u64::from(filled);
         }
     };
 
@@ -538,11 +215,11 @@ pub fn scan_similarities(
 /// The overlap-pruned candidate pass: ranks every user by *co-rating
 /// count* with `user` and keeps roughly the `budget` highest.
 ///
-/// This is pass 1 of the tiled kernel run standalone over the full
-/// user dimension — one `u32` increment per co-rating incidence, no
-/// pair gathering, no similarity math — so it costs a small fraction
-/// of an exact scan. It exists because neighbour weight under
-/// Herlocker significance weighting is bounded by the overlap:
+/// It walks the same columns as an exact scan over the full user
+/// dimension — one `u32` increment per co-rating incidence, no pair
+/// gathering, no similarity math — so it costs a fraction of one. It
+/// exists because neighbour weight under Herlocker significance
+/// weighting is bounded by the overlap:
 /// `|sim(u, v)| ≤ min(1, co(u, v) / significance)`, so the users this
 /// pass drops are exactly the ones whose similarity is provably small.
 /// The threshold is chosen adaptively (smallest co-count `τ` whose
@@ -550,18 +227,17 @@ pub fn scan_similarities(
 /// `τ` is kept, so the result can exceed `budget` slightly and is
 /// deterministic). Returns a sorted, ascending id list excluding
 /// `user` itself; empty when the user rated nothing.
-pub fn overlap_candidates(csr: &CsrRatings, user: UserId, budget: usize) -> Vec<u32> {
-    let n_users = csr.n_users();
+pub fn overlap_candidates(ratings: &RatingsMatrix, user: UserId, budget: usize) -> Vec<u32> {
+    let n_users = ratings.n_users();
     let u = user.index();
-    let (u_items, _) = csr.row(u);
-    if u_items.is_empty() || budget == 0 {
+    let row = ratings.user_ratings(user);
+    if row.is_empty() || budget == 0 {
         return Vec::new();
     }
     let mut counts: Vec<u32> = vec![0; n_users];
-    for &item in u_items {
-        let (cu, _) = csr.col(item as usize);
-        for &v in cu {
-            counts[v as usize] += 1;
+    for &(item, _) in row {
+        for &(v, _) in ratings.item_ratings(item) {
+            counts[v.index()] += 1;
         }
     }
     if u < n_users {
@@ -618,7 +294,7 @@ pub fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 
 /// One tile's candidate membership: either a contiguous id range
 /// (exact scan) or a sorted id list with a dense slot map (pruned
-/// scan). Both expose the same slot arithmetic to the kernel passes.
+/// scan). Both expose the same slot arithmetic to the kernel.
 enum TileMembers<'a> {
     /// Users `start..end`.
     Range { start: usize, end: usize },
@@ -636,22 +312,20 @@ impl TileMembers<'_> {
         }
     }
 
-    /// The subrange of a sorted user-id column that can belong to this
-    /// tile, found by binary search.
+    /// The part of an item's column (raters ascending by user id) that
+    /// can belong to this tile, found by binary search.
     #[inline]
-    fn column_range(&self, col_users: &[u32]) -> (usize, usize) {
+    fn column_range<'c>(&self, col: &'c [(UserId, f64)]) -> &'c [(UserId, f64)] {
         let (lo_bound, hi_bound) = match self {
             TileMembers::Range { start, end } => (*start as u32, *end as u32),
-            TileMembers::Sparse { ids, .. } => {
-                if ids.is_empty() {
-                    return (0, 0);
-                }
-                (ids[0], ids[ids.len() - 1].saturating_add(1))
-            }
+            TileMembers::Sparse { ids, .. } => match (ids.first(), ids.last()) {
+                (Some(&first), Some(&last)) => (first, last.saturating_add(1)),
+                _ => return &[],
+            },
         };
-        let lo = col_users.partition_point(|&v| v < lo_bound);
-        let hi = lo + col_users[lo..].partition_point(|&v| v < hi_bound);
-        (lo, hi)
+        let lo = col.partition_point(|&(v, _)| v.raw() < lo_bound);
+        let hi = lo + col[lo..].partition_point(|&(v, _)| v.raw() < hi_bound);
+        &col[lo..hi]
     }
 
     /// The tile slot of user `v`, if `v` belongs to this tile.
@@ -694,9 +368,9 @@ pub enum TileSize {
     Fixed(usize),
 }
 
-/// Deltas applied incrementally since the last full build before the
-/// engine forces a fresh rebuild (autotune + k-means). Cluster
-/// reassignment moves users between *frozen* centroids, so geometry
+/// Deltas the candidate index absorbs by reassignment since its last
+/// full build before the engine forces a fresh k-means build.
+/// Reassignment moves users between *frozen* centroids, so geometry
 /// drifts as writes accumulate; this bounds how far.
 pub const DRIFT_REBUILD_THRESHOLD: usize = 4096;
 
@@ -705,10 +379,10 @@ pub const DRIFT_REBUILD_THRESHOLD: usize = 4096;
 pub struct KernelConfig {
     /// Candidate-dimension tile size.
     pub tile: TileSize,
-    /// Deltas absorbed by incremental patching before the next read
-    /// forces a full CSR + index rebuild (see
-    /// [`DRIFT_REBUILD_THRESHOLD`]). `0` disables patching entirely:
-    /// every revision change rebuilds from scratch.
+    /// Deltas the candidate index absorbs by reassignment before the
+    /// next read forces a full index rebuild (see
+    /// [`DRIFT_REBUILD_THRESHOLD`]). `0` disables reassignment: every
+    /// revision change rebuilds the index from scratch.
     pub drift_threshold: usize,
 }
 
@@ -739,17 +413,17 @@ pub struct AutotuneReport {
 /// (ties break toward the smaller tile). Tile size cannot change
 /// results — the sweep optimizes wall-clock only — so a noisy pick
 /// costs microseconds, never correctness.
-pub fn autotune(csr: &CsrRatings, params: &SimParams) -> AutotuneReport {
+pub fn autotune(ratings: &RatingsMatrix, params: &SimParams) -> AutotuneReport {
     // Up to 4 sample users, strided over the id space, skipping empty
     // rows so the sweep measures real work.
-    let n = csr.n_users();
+    let n = ratings.n_users();
     let mut samples: Vec<UserId> = Vec::new();
     if n > 0 {
         let stride = (n / 4).max(1);
         let mut u = 0usize;
         while u < n && samples.len() < 4 {
             let mut probe = u;
-            while probe < n && csr.row_len(probe) == 0 {
+            while probe < n && ratings.user_ratings(UserId::new(probe as u32)).is_empty() {
                 probe += 1;
             }
             if probe < n {
@@ -765,7 +439,7 @@ pub fn autotune(csr: &CsrRatings, params: &SimParams) -> AutotuneReport {
     for &tile in TILE_CANDIDATES {
         let started = Instant::now();
         for &user in &samples {
-            scan_similarities(csr, params, user, None, tile, &mut sims);
+            scan_similarities(ratings, params, user, None, tile, &mut sims);
         }
         let elapsed = started.elapsed().as_nanos() as u64;
         sweep.push((tile, elapsed));
@@ -804,22 +478,23 @@ impl ScanMode {
     }
 }
 
-/// Revision-keyed derived state: the CSR snapshot, the tuned tile and
-/// the candidate index, rebuilt lazily when the matrix moves — or
-/// *patched* in place when the pending delta chain covers the gap.
+/// What the engine derives from the matrix: the tuned tile and the
+/// candidate index, which is reassigned from the pending delta chain
+/// or rebuilt when the matrix revision moves. The engine keeps no
+/// handle on the matrix itself.
 #[derive(Default)]
 struct EngineState {
-    csr: Option<Arc<CsrRatings>>,
     tune: Option<AutotuneReport>,
     index: Option<Arc<CandidateIndex>>,
-    /// Deltas applied to the matrix since the resident snapshot was
-    /// taken, in revision order; drained by the next read.
+    /// Deltas applied to the matrix since the resident index was
+    /// built or reassigned, in revision order; drained by the next
+    /// index read.
     pending: Vec<RatingDelta>,
     /// Set when pending deltas were dropped (too many to buffer): the
-    /// next read must rebuild from scratch.
+    /// next index read must rebuild from scratch.
     pending_overflow: bool,
-    /// Deltas absorbed by patching since the last *full* build; the
-    /// drift threshold compares against this.
+    /// Deltas absorbed by reassignment since the last *full* index
+    /// build; the drift threshold compares against this.
     patched_since_build: u64,
 }
 
@@ -830,20 +505,16 @@ pub struct ScanStats {
     pub tile_users: Option<usize>,
     /// The autotuner's sweep, when tile selection was automatic.
     pub sweep: Vec<SweepPoint>,
-    /// Revision of the resident CSR snapshot, if any.
-    pub csr_revision: Option<u64>,
-    /// CSR snapshot (re)builds from scratch.
-    pub csr_builds: u64,
+    /// Matrix revision the resident candidate index reflects, if any.
+    pub index_revision: Option<u64>,
     /// Candidate-index (re)builds from scratch.
     pub index_builds: u64,
-    /// CSR snapshots produced by incremental delta patching.
-    pub csr_patches: u64,
     /// Candidate indexes produced by cluster reassignment.
     pub index_patches: u64,
-    /// Deltas waiting to be absorbed by the next read.
+    /// Deltas waiting to be absorbed by the next index read.
     pub pending_deltas: usize,
-    /// Deltas absorbed by patching since the last full build (drives
-    /// the drift-threshold rebuild decision).
+    /// Deltas absorbed by reassignment since the last full index build
+    /// (drives the drift-threshold rebuild decision).
     pub patched_since_build: u64,
     /// Centroids / probes of the resident index, if any.
     pub index_shape: Option<(usize, usize)>,
@@ -863,19 +534,17 @@ pub struct ScanStats {
     pub last_prune_ratio: f64,
 }
 
-/// Shared, revision-keyed scan state: CSR snapshot + autotuned tile +
-/// pruned candidate index, with `exrec-obs` counters.
+/// Shared scan state: autotuned tile + pruned candidate index, with
+/// `exrec-obs` counters. Scans read the served matrix directly.
 ///
 /// One engine is shared by every clone of a model (batch workers, the
-/// serving edge): all derived state sits behind a read-mostly lock and
-/// rebuilds at most once per matrix revision.
+/// serving edge): all derived state sits behind a read-mostly lock, and
+/// the index follows the matrix revision.
 pub struct ScanEngine {
     kernel: KernelConfig,
     index_cfg: IndexConfig,
     state: RwLock<EngineState>,
-    csr_builds: Counter,
     index_builds: Counter,
-    csr_patches: Counter,
     index_patches: Counter,
     exact_scans: Counter,
     pruned_scans: Counter,
@@ -902,9 +571,7 @@ impl ScanEngine {
             kernel,
             index_cfg,
             state: RwLock::new(EngineState::default()),
-            csr_builds: Counter::default(),
             index_builds: Counter::default(),
-            csr_patches: Counter::default(),
             index_patches: Counter::default(),
             exact_scans: Counter::default(),
             pruned_scans: Counter::default(),
@@ -916,9 +583,9 @@ impl ScanEngine {
     }
 
     /// Builds an engine whose counters live in `metrics` under
-    /// `scan.<name>.{csr_builds,index_builds,csr_patches,index_patches,
-    /// exact_scans,pruned_scans,exact_fallbacks,tiles_visited,
-    /// candidates_scored}` plus the `scan.<name>.prune_ratio` gauge.
+    /// `scan.<name>.{index_builds,index_patches,exact_scans,
+    /// pruned_scans,exact_fallbacks,tiles_visited,candidates_scored}`
+    /// plus the `scan.<name>.prune_ratio` gauge.
     pub fn instrumented(
         kernel: KernelConfig,
         index_cfg: IndexConfig,
@@ -926,9 +593,7 @@ impl ScanEngine {
         name: &str,
     ) -> Self {
         let mut engine = Self::new(kernel, index_cfg);
-        engine.csr_builds = metrics.counter(&format!("scan.{name}.csr_builds"));
         engine.index_builds = metrics.counter(&format!("scan.{name}.index_builds"));
-        engine.csr_patches = metrics.counter(&format!("scan.{name}.csr_patches"));
         engine.index_patches = metrics.counter(&format!("scan.{name}.index_patches"));
         engine.exact_scans = metrics.counter(&format!("scan.{name}.exact_scans"));
         engine.pruned_scans = metrics.counter(&format!("scan.{name}.pruned_scans"));
@@ -949,22 +614,23 @@ impl ScanEngine {
         &self.index_cfg
     }
 
-    /// Records deltas the matrix absorbed since the resident snapshot,
-    /// so the next read can *patch* instead of rebuild. Called by the
-    /// write path (under its matrix write lock) with the deltas one
-    /// applied record emitted; cheap — an append, never a build.
+    /// Records deltas the matrix absorbed since the resident index, so
+    /// the next index read can *reassign* the touched users instead of
+    /// rebuilding. Called by the write path (under its matrix write
+    /// lock) with the deltas one applied record emitted; cheap — an
+    /// append, never a build.
     ///
     /// Buffering is bounded by the drift threshold: once the pending
     /// backlog (plus deltas already absorbed since the last full
-    /// build) crosses it, the backlog is dropped and the next read
-    /// rebuilds from scratch anyway.
+    /// build) crosses it, the backlog is dropped and the next index
+    /// read rebuilds from scratch anyway.
     pub fn notify_deltas(&self, deltas: &[RatingDelta]) {
         if deltas.is_empty() {
             return;
         }
         let mut state = self.state.write();
-        if state.csr.is_none() || state.pending_overflow {
-            return; // nothing resident to patch, or already overflowed
+        if state.index.is_none() || state.pending_overflow {
+            return; // nothing resident to reassign, or already overflowed
         }
         let backlog = state.patched_since_build as usize + state.pending.len() + deltas.len();
         if backlog > self.kernel.drift_threshold {
@@ -975,91 +641,40 @@ impl ScanEngine {
         }
     }
 
-    /// The CSR snapshot for `ratings`. When the matrix revision moved
-    /// and the pending delta chain (see [`ScanEngine::notify_deltas`])
-    /// covers the gap exactly, the resident snapshot is *patched* —
-    /// `O(nnz)` splice, tuned tile kept, index clusters reassigned —
-    /// counted under `csr_patches`/`index_patches`. Otherwise (bulk
-    /// loads, overflow past the drift threshold, or mutations that
-    /// bypassed delta notification) it rebuilds from scratch, re-runs
-    /// the tile sweep, and drops the index (counted under
-    /// `csr_builds`).
-    pub fn csr(&self, ratings: &RatingsMatrix, params: &SimParams) -> Arc<CsrRatings> {
-        {
-            let state = self.state.read();
-            if let Some(csr) = &state.csr {
-                if csr.revision() == ratings.revision() {
-                    return Arc::clone(csr);
-                }
-            }
-        }
-        let mut state = self.state.write();
-        // Double-checked: another worker may have rebuilt while we
-        // waited for the write lock.
-        if let Some(csr) = &state.csr {
-            if csr.revision() == ratings.revision() {
-                return Arc::clone(csr);
-            }
-        }
-
-        // Patch path: the pending deltas must chain one-per-revision
-        // from the resident snapshot to the live matrix — every
-        // successful mutation bumps the revision by exactly one, so a
-        // gap means something wrote without notifying and the patch
-        // would silently diverge.
-        let can_patch = !state.pending_overflow
-            && self.kernel.drift_threshold > 0
-            && state.csr.as_ref().is_some_and(|csr| {
-                let base = csr.revision();
-                !state.pending.is_empty()
-                    && state.pending.last().map(|d| d.revision) == Some(ratings.revision())
-                    && state
-                        .pending
-                        .iter()
-                        .enumerate()
-                        .all(|(n, d)| d.revision == base + 1 + n as u64)
-            });
-        if can_patch {
-            let pending = std::mem::take(&mut state.pending);
-            let csr = Arc::new(
-                state
-                    .csr
-                    .as_ref()
-                    .expect("checked above")
-                    .apply_deltas(&pending),
-            );
-            if let Some(index) = &state.index {
-                let mut touched: Vec<u32> = pending.iter().map(|d| d.user.raw()).collect();
-                touched.sort_unstable();
-                touched.dedup();
-                state.index = Some(Arc::new(index.reassign(&csr, &touched)));
-                self.index_patches.incr();
-            }
-            state.patched_since_build += pending.len() as u64;
-            state.csr = Some(Arc::clone(&csr));
-            self.csr_patches.incr();
-            return csr;
-        }
-
-        let csr = Arc::new(CsrRatings::from_matrix(ratings));
-        state.tune = Some(match self.kernel.tile {
-            TileSize::Fixed(tile) => AutotuneReport {
-                chosen: tile.max(1),
-                sweep: Vec::new(),
-            },
-            TileSize::Auto => autotune(&csr, params),
-        });
-        state.index = None; // stale with the old revision; rebuilt on demand
-        state.csr = Some(Arc::clone(&csr));
-        state.pending.clear();
-        state.pending_overflow = false;
-        state.patched_since_build = 0;
-        self.csr_builds.incr();
-        csr
+    /// A handle on `ratings` for a scan, with the tile size picked (see
+    /// [`ScanEngine::tile_for`]). The handle is an `O(1)` clone that
+    /// shares the matrix's store: scans read the served ratings, not a
+    /// copy. A write through the matrix while the handle lives copies
+    /// the store first, so the handle keeps reading the revision it
+    /// was taken at.
+    pub fn csr(&self, ratings: &RatingsMatrix, params: &SimParams) -> RatingsMatrix {
+        self.tile_for(ratings, params);
+        ratings.clone()
     }
 
-    /// The tuned tile size for the resident snapshot (falls back to a
-    /// safe default if called before [`ScanEngine::csr`]).
+    /// The tile size scans use, picked on the first call: the
+    /// [`autotune`] sweep over `ratings` under [`TileSize::Auto`], else
+    /// the fixed tile. Tile size never changes results, so the pick
+    /// stands as the matrix moves.
+    pub fn tile_for(&self, ratings: &RatingsMatrix, params: &SimParams) -> usize {
+        if let Some(tune) = &self.state.read().tune {
+            return tune.chosen;
+        }
+        let mut state = self.state.write();
+        state
+            .tune
+            .get_or_insert_with(|| match self.kernel.tile {
+                TileSize::Fixed(tile) => AutotuneReport {
+                    chosen: tile.max(1),
+                    sweep: Vec::new(),
+                },
+                TileSize::Auto => autotune(ratings, params),
+            })
+            .chosen
+    }
+
+    /// The tuned tile size (falls back to a safe default if called
+    /// before [`ScanEngine::tile_for`]).
     pub fn tile(&self) -> usize {
         self.state
             .read()
@@ -1069,25 +684,67 @@ impl ScanEngine {
             .unwrap_or(TILE_CANDIDATES[2])
     }
 
-    /// The candidate index for `csr`, building it on first use per
-    /// revision (counted under `index_builds`).
-    pub fn index(&self, csr: &Arc<CsrRatings>) -> Arc<CandidateIndex> {
+    /// The candidate index for `ratings`' revision. When the revision
+    /// moved and the pending delta chain (see
+    /// [`ScanEngine::notify_deltas`]) covers the gap exactly, the
+    /// resident index *reassigns* the touched users against its frozen
+    /// centroids (counted under `index_patches`). Otherwise — first
+    /// use, bulk loads, overflow past the drift threshold, or writes
+    /// that bypassed delta notification — it builds from scratch
+    /// (counted under `index_builds`).
+    pub fn index(&self, ratings: &RatingsMatrix) -> Arc<CandidateIndex> {
+        let revision = ratings.revision();
         {
             let state = self.state.read();
             if let Some(index) = &state.index {
-                if index.revision() == csr.revision() {
+                if index.revision() == revision {
                     return Arc::clone(index);
                 }
             }
         }
         let mut state = self.state.write();
+        // Double-checked: another worker may have caught up while we
+        // waited for the write lock.
         if let Some(index) = &state.index {
-            if index.revision() == csr.revision() {
+            if index.revision() == revision {
                 return Arc::clone(index);
             }
         }
-        let index = Arc::new(CandidateIndex::build(csr, &self.index_cfg));
+
+        // Reassign path: the pending deltas must chain one-per-revision
+        // from the resident index to the live matrix — every
+        // successful mutation bumps the revision by exactly one, so a
+        // gap means something wrote without notifying and a
+        // reassignment would miss its user.
+        let can_patch = !state.pending_overflow
+            && self.kernel.drift_threshold > 0
+            && state.index.as_ref().is_some_and(|index| {
+                let base = index.revision();
+                state.pending.last().map(|d| d.revision) == Some(revision)
+                    && state
+                        .pending
+                        .iter()
+                        .enumerate()
+                        .all(|(n, d)| d.revision == base + 1 + n as u64)
+            });
+        if can_patch {
+            let pending = std::mem::take(&mut state.pending);
+            let mut touched: Vec<u32> = pending.iter().map(|d| d.user.raw()).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let resident = state.index.as_ref().expect("checked above");
+            let index = Arc::new(resident.reassign(ratings, &touched));
+            state.index = Some(Arc::clone(&index));
+            state.patched_since_build += pending.len() as u64;
+            self.index_patches.incr();
+            return index;
+        }
+
+        let index = Arc::new(CandidateIndex::build(ratings, &self.index_cfg));
         state.index = Some(Arc::clone(&index));
+        state.pending.clear();
+        state.pending_overflow = false;
+        state.patched_since_build = 0;
         self.index_builds.incr();
         index
     }
@@ -1133,10 +790,8 @@ impl ScanEngine {
                 .as_ref()
                 .map(|t| t.sweep.clone())
                 .unwrap_or_default(),
-            csr_revision: state.csr.as_ref().map(|c| c.revision()),
-            csr_builds: self.csr_builds.get(),
+            index_revision: state.index.as_ref().map(|i| i.revision()),
             index_builds: self.index_builds.get(),
-            csr_patches: self.csr_patches.get(),
             index_patches: self.index_patches.get(),
             pending_deltas: state.pending.len(),
             patched_since_build: state.patched_since_build,
@@ -1180,29 +835,6 @@ mod tests {
         m
     }
 
-    #[test]
-    fn csr_mirrors_matrix() {
-        let m = toy_matrix();
-        let csr = CsrRatings::from_matrix(&m);
-        assert_eq!(csr.n_users(), 5);
-        assert_eq!(csr.n_items(), 4);
-        assert_eq!(csr.n_ratings(), m.n_ratings());
-        assert_eq!(csr.revision(), m.revision());
-        let (items, vals) = csr.row(0);
-        assert_eq!(items, &[0, 1, 3]);
-        assert_eq!(vals, &[5.0, 3.0, 4.0]);
-        let (users, vals) = csr.col(0);
-        assert_eq!(users, &[0, 1, 3]);
-        assert_eq!(vals, &[5.0, 4.0, 5.0]);
-        assert_eq!(csr.row(4), (&[][..], &[][..]));
-        assert_eq!(csr.row(99), (&[][..], &[][..]));
-        assert_eq!(csr.col(99), (&[][..], &[][..]));
-        // Bit-identical means, empty rows defaulted.
-        let mean0 = m.user_mean(UserId(0)).unwrap();
-        assert_eq!(csr.user_mean_or(0, f64::NAN).to_bits(), mean0.to_bits());
-        assert_eq!(csr.user_mean_or(4, 2.5), 2.5);
-    }
-
     /// Reference: the seed's per-pair similarity, straight off the
     /// live matrix.
     fn brute_sim(m: &RatingsMatrix, params: &SimParams, a: UserId, b: UserId) -> f64 {
@@ -1231,7 +863,6 @@ mod tests {
     #[test]
     fn scan_matches_brute_for_every_measure_and_tile() {
         let m = toy_matrix();
-        let csr = CsrRatings::from_matrix(&m);
         for similarity in [
             Similarity::Pearson,
             Similarity::Cosine,
@@ -1245,7 +876,7 @@ mod tests {
             };
             for tile in [1, 2, 3, 64] {
                 let mut sims = Vec::new();
-                scan_similarities(&csr, &params, UserId(0), None, tile, &mut sims);
+                scan_similarities(&m, &params, UserId(0), None, tile, &mut sims);
                 for v in 0..5u32 {
                     if v == 0 {
                         continue;
@@ -1264,14 +895,13 @@ mod tests {
     #[test]
     fn candidate_subset_scores_only_members() {
         let m = toy_matrix();
-        let csr = CsrRatings::from_matrix(&m);
         let params = SimParams {
             similarity: Similarity::Cosine,
             min_overlap: 1,
             significance: 0,
         };
         let mut sims = Vec::new();
-        let outcome = scan_similarities(&csr, &params, UserId(0), Some(&[1, 2]), 1, &mut sims);
+        let outcome = scan_similarities(&m, &params, UserId(0), Some(&[1, 2]), 1, &mut sims);
         assert!(sims[1] != 0.0, "candidate 1 co-rates items 0 and 1");
         assert_eq!(sims[3], 0.0, "user 3 co-rates but is not a candidate");
         assert_eq!(sims[2], 0.0, "candidate 2 has no co-ratings");
@@ -1281,14 +911,13 @@ mod tests {
     #[test]
     fn empty_row_scores_nothing() {
         let m = toy_matrix();
-        let csr = CsrRatings::from_matrix(&m);
         let params = SimParams {
             similarity: Similarity::Pearson,
             min_overlap: 1,
             significance: 0,
         };
         let mut sims = Vec::new();
-        let outcome = scan_similarities(&csr, &params, UserId(4), None, 8, &mut sims);
+        let outcome = scan_similarities(&m, &params, UserId(4), None, 8, &mut sims);
         assert_eq!(outcome.scored, 0);
         assert!(sims.iter().all(|&s| s == 0.0));
     }
@@ -1296,19 +925,21 @@ mod tests {
     #[test]
     fn autotune_picks_a_candidate_tile() {
         let m = toy_matrix();
-        let csr = CsrRatings::from_matrix(&m);
         let params = SimParams {
             similarity: Similarity::Pearson,
             min_overlap: 2,
             significance: 0,
         };
-        let report = autotune(&csr, &params);
+        let report = autotune(&m, &params);
         assert!(TILE_CANDIDATES.contains(&report.chosen));
         assert_eq!(report.sweep.len(), TILE_CANDIDATES.len());
     }
 
+    /// The tile is picked once, and the engine's handle is the served
+    /// store: it reads through the matrix's own rows, and a later write
+    /// to the matrix copies the store instead of changing the handle.
     #[test]
-    fn engine_rebuilds_on_revision_change() {
+    fn engine_handle_shares_the_store_until_a_write() {
         let mut m = toy_matrix();
         let engine = ScanEngine::default();
         let params = SimParams {
@@ -1316,15 +947,39 @@ mod tests {
             min_overlap: 2,
             significance: 0,
         };
-        let c1 = engine.csr(&m, &params);
-        let c2 = engine.csr(&m, &params);
-        assert!(Arc::ptr_eq(&c1, &c2), "same revision reuses the snapshot");
-        assert_eq!(engine.stats().csr_builds, 1);
+        assert_eq!(engine.stats().tile_users, None);
+        let handle = engine.csr(&m, &params);
+        let tuned = engine.stats();
+        assert!(
+            tuned.tile_users.is_some(),
+            "the first handle tunes the tile"
+        );
+        assert_eq!(
+            handle.user_ratings(UserId(0)).as_ptr(),
+            m.user_ratings(UserId(0)).as_ptr(),
+            "the handle reads the matrix's own rows"
+        );
+        m.rate(UserId(0), ItemId(0), 1.0).unwrap();
+        assert_eq!(handle.rating(UserId(0), ItemId(0)), Some(5.0));
+        assert_eq!(m.rating(UserId(0), ItemId(0)), Some(1.0));
+        assert_eq!(engine.csr(&m, &params).revision(), m.revision());
+        // The sweep's timings would differ had the write re-tuned.
+        assert_eq!(engine.stats().sweep, tuned.sweep, "tuned once");
+    }
+
+    #[test]
+    fn index_rebuilds_on_revision_change() {
+        let mut m = toy_matrix();
+        let engine = ScanEngine::default();
+        let i1 = engine.index(&m);
+        let i2 = engine.index(&m);
+        assert!(Arc::ptr_eq(&i1, &i2), "same revision reuses the index");
+        assert_eq!(engine.stats().index_builds, 1);
         m.rate(UserId(2), ItemId(0), 2.0).unwrap();
-        let c3 = engine.csr(&m, &params);
-        assert_eq!(c3.revision(), m.revision());
-        assert_eq!(engine.stats().csr_builds, 2);
-        assert_eq!(c3.col(0).0.len(), 4, "rebuilt snapshot sees the new rating");
+        let i3 = engine.index(&m);
+        assert_eq!(i3.revision(), m.revision());
+        assert_eq!(engine.stats().index_builds, 2);
+        assert_eq!(engine.stats().index_revision, Some(m.revision()));
     }
 
     /// Applies one `rate` to the live matrix and returns the delta the
@@ -1340,90 +995,45 @@ mod tests {
         }
     }
 
-    fn unrate_delta(m: &mut RatingsMatrix, u: u32, i: u32) -> RatingDelta {
-        let prev = m.unrate(UserId(u), ItemId(i)).unwrap();
-        assert!(prev.is_some(), "test deltas must change the matrix");
-        RatingDelta {
-            user: UserId(u),
-            item: ItemId(i),
-            prev,
-            value: None,
-            revision: m.revision(),
-        }
-    }
-
     #[test]
-    fn patched_csr_is_bit_identical_to_fresh() {
-        let mut m = toy_matrix();
-        let base = CsrRatings::from_matrix(&m);
-        let deltas = vec![
-            rate_delta(&mut m, 4, 2, 3.0), // empty row gains a rating
-            rate_delta(&mut m, 0, 2, 1.0), // insert mid-row
-            rate_delta(&mut m, 0, 0, 2.0), // replace
-            unrate_delta(&mut m, 1, 1),    // remove
-            rate_delta(&mut m, 0, 2, 4.0), // re-rate the same cell
-            unrate_delta(&mut m, 2, 2),    // row becomes empty
-        ];
-        let patched = base.apply_deltas(&deltas);
-        let fresh = CsrRatings::from_matrix(&m);
-        assert_eq!(patched.revision(), fresh.revision());
-        assert_eq!(patched.row_ptr, fresh.row_ptr);
-        assert_eq!(patched.row_items, fresh.row_items);
-        assert_eq!(patched.col_ptr, fresh.col_ptr);
-        assert_eq!(patched.col_users, fresh.col_users);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&patched.row_vals), bits(&fresh.row_vals));
-        assert_eq!(bits(&patched.col_vals), bits(&fresh.col_vals));
-        assert_eq!(bits(&patched.user_mean), bits(&fresh.user_mean));
-    }
-
-    #[test]
-    fn engine_patches_when_delta_chain_covers_the_gap() {
+    fn index_reassigns_when_delta_chain_covers_the_gap() {
         let mut m = toy_matrix();
         let engine = ScanEngine::default();
-        let params = SimParams {
-            similarity: Similarity::Pearson,
-            min_overlap: 1,
-            significance: 0,
-        };
-        engine.csr(&m, &params);
+        let first = engine.index(&m);
         let deltas = vec![rate_delta(&mut m, 2, 0, 4.0), rate_delta(&mut m, 2, 1, 5.0)];
         engine.notify_deltas(&deltas);
         assert_eq!(engine.stats().pending_deltas, 2);
-        let patched = engine.csr(&m, &params);
+        let patched = engine.index(&m);
         let stats = engine.stats();
-        assert_eq!(stats.csr_builds, 1, "no second full build");
-        assert_eq!(stats.csr_patches, 1);
+        assert_eq!(stats.index_builds, 1, "no second full build");
+        assert_eq!(stats.index_patches, 1);
         assert_eq!(stats.pending_deltas, 0);
         assert_eq!(stats.patched_since_build, 2);
         assert_eq!(patched.revision(), m.revision());
-        // Patched scan results equal a from-scratch engine's.
-        let fresh_engine = ScanEngine::default();
-        let fresh = fresh_engine.csr(&m, &params);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        scan_similarities(&patched, &params, UserId(0), None, 64, &mut a);
-        scan_similarities(&fresh, &params, UserId(0), None, 64, &mut b);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
+        // The patched index is the resident one with the touched user
+        // reassigned.
+        let want = first.reassign(&m, &[2]);
+        for u in 0..5u32 {
+            assert_eq!(
+                patched.candidates(&m, u),
+                want.candidates(&m, u),
+                "user {u}"
+            );
+        }
     }
 
     #[test]
     fn unnotified_mutation_falls_back_to_full_rebuild() {
         let mut m = toy_matrix();
         let engine = ScanEngine::default();
-        let params = SimParams {
-            similarity: Similarity::Cosine,
-            min_overlap: 1,
-            significance: 0,
-        };
-        engine.csr(&m, &params);
+        engine.index(&m);
         let _gap = rate_delta(&mut m, 3, 1, 2.0); // never notified
         let notified = vec![rate_delta(&mut m, 2, 0, 4.0)];
         engine.notify_deltas(&notified);
-        let rebuilt = engine.csr(&m, &params);
+        let rebuilt = engine.index(&m);
         let stats = engine.stats();
-        assert_eq!(stats.csr_patches, 0, "broken chain must not patch");
-        assert_eq!(stats.csr_builds, 2);
+        assert_eq!(stats.index_patches, 0, "broken chain must not reassign");
+        assert_eq!(stats.index_builds, 2);
         assert_eq!(rebuilt.revision(), m.revision());
         assert_eq!(stats.pending_deltas, 0, "stale backlog discarded");
     }
@@ -1438,20 +1048,15 @@ mod tests {
             },
             IndexConfig::default(),
         );
-        let params = SimParams {
-            similarity: Similarity::Pearson,
-            min_overlap: 1,
-            significance: 0,
-        };
-        engine.csr(&m, &params);
+        engine.index(&m);
         for round in 0..3u32 {
             let deltas = vec![rate_delta(&mut m, 2, 0, f64::from(round % 5) + 1.0)];
             engine.notify_deltas(&deltas);
-            engine.csr(&m, &params);
+            engine.index(&m);
         }
         let stats = engine.stats();
-        assert_eq!(stats.csr_patches, 2, "threshold admits two deltas");
-        assert_eq!(stats.csr_builds, 2, "third write crossed the threshold");
+        assert_eq!(stats.index_patches, 2, "threshold admits two deltas");
+        assert_eq!(stats.index_builds, 2, "third write crossed the threshold");
         assert_eq!(stats.patched_since_build, 0, "rebuild resets drift");
     }
 

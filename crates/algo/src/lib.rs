@@ -38,10 +38,10 @@
 //! scan with a kernel that is fast when exact and sub-linear when
 //! allowed to prune (see `docs/kernels.md`):
 //!
-//! * [`kernel`] — [`kernel::CsrRatings`] (a revision-stamped CSR/CSC
-//!   compaction of the ratings), a cache-blocked tiled similarity scan
-//!   with a startup autotuner, and [`kernel::ScanEngine`], the shared
-//!   revision-keyed holder of the derived state;
+//! * [`kernel`] — a cache-blocked tiled similarity scan that reads
+//!   the served ratings matrix in one pass, a startup autotuner, and
+//!   [`kernel::ScanEngine`], the shared holder of the tuned tile and
+//!   the candidate index;
 //! * [`index`] — [`index::CandidateIndex`], deterministic coarse
 //!   k-means over rating rows; pruned scans probe the nearest
 //!   centroids and score only their members, with automatic exact
@@ -75,7 +75,7 @@ pub use batch::BatchPool;
 pub use index::{CandidateIndex, IndexConfig};
 pub use instrument::InstrumentedRecommender;
 pub use item_knn::ItemKnn;
-pub use kernel::{CsrRatings, KernelConfig, ScanEngine, ScanMode, ScanStats, TileSize};
+pub use kernel::{KernelConfig, ScanEngine, ScanMode, ScanStats, TileSize};
 pub use recommender::{Ctx, ModelEvidence, Recommender, Scored};
 pub use similarity::Similarity;
 pub use user_knn::UserKnn;

@@ -11,10 +11,11 @@
 
 use std::sync::Arc;
 
-use crate::kernel::{scan_similarities, CsrRatings, ScanEngine, ScanMode, SimParams};
+use crate::kernel::{scan_similarities, ScanEngine, ScanMode, SimParams};
 use crate::neighbors::{top_k_by, top_k_stream};
 use crate::recommender::{Ctx, ModelEvidence, NeighborContribution, Recommender, Scored};
 use crate::similarity::{self, Similarity};
+use exrec_data::RatingsMatrix;
 use exrec_types::{Confidence, Error, ItemId, Prediction, Result, UserId};
 
 /// Users sorted per head of the inverted gather
@@ -56,11 +57,11 @@ impl Default for UserKnnConfig {
 ///
 /// For serving, attach a shared [`ScanEngine`] with
 /// [`UserKnn::with_engine`]: similarity scans then run through the
-/// CSR-tiled kernel ([`ScanMode::Exact`], bit-identical to the brute
+/// tiled kernel ([`ScanMode::Exact`], bit-identical to the brute
 /// path) and optionally the cluster-pruned candidate index
 /// ([`ScanMode::Pruned`], recall ≥ 0.99 with automatic exact fallback).
-/// The engine snapshots the matrix per revision, so mid-session
-/// re-rating is still observed on the next call. A ranking then costs
+/// The kernel reads the live matrix too, so mid-session re-rating is
+/// observed on the next call. A ranking then costs
 /// one kernel scan: an inverted gather builds every candidate item's
 /// neighbourhood from it, and [`Recommender::recommend_with_evidence`]
 /// hands each neighbourhood out as its item's evidence. See
@@ -100,8 +101,8 @@ impl UserKnn {
     }
 
     /// Attaches a shared scan engine and picks the scan mode. Clones of
-    /// the same `Arc` (e.g. per batch worker) share the CSR snapshot,
-    /// tuned tile size and candidate index.
+    /// the same `Arc` (e.g. per batch worker) share the tuned tile size
+    /// and candidate index.
     pub fn with_engine(mut self, engine: Arc<ScanEngine>, mode: ScanMode) -> Self {
         self.scan = Some(ScanHandle { engine, mode });
         self
@@ -212,20 +213,18 @@ impl UserKnn {
         item: ItemId,
         handle: &ScanHandle,
     ) -> Vec<NeighborContribution> {
-        let csr = self.csr_for(ctx, handle);
-        let raters = csr.col(item.index()).0;
+        let raters: Vec<u32> = ctx
+            .ratings
+            .item_ratings(item)
+            .iter()
+            .map(|&(v, _)| v.raw())
+            .collect();
         if raters.is_empty() {
             return Vec::new();
         }
-        let sims = self.scan_sims(&csr, user, handle, Some(raters));
+        let sims = self.scan_sims(ctx.ratings, user, handle, Some(raters));
         let _p = exrec_obs::profile::phase("gather");
-        self.gather_neighbors(&csr, &sims, user, item)
-    }
-
-    /// The engine's CSR snapshot for the ratings in `ctx`.
-    fn csr_for(&self, ctx: &Ctx<'_>, handle: &ScanHandle) -> Arc<CsrRatings> {
-        let _p = exrec_obs::profile::phase("csr");
-        handle.engine.csr(ctx.ratings, &self.sim_params())
+        self.gather_neighbors(ctx.ratings, &sims, user, item)
     }
 
     /// One kernel scan of `user` against the scan list for this mode
@@ -233,52 +232,49 @@ impl UserKnn {
     /// counters. Returns the dense sims table (`0.0` off the list).
     fn scan_sims(
         &self,
-        csr: &Arc<CsrRatings>,
+        ratings: &RatingsMatrix,
         user: UserId,
         handle: &ScanHandle,
-        raters: Option<&[u32]>,
+        raters: Option<Vec<u32>>,
     ) -> Vec<f64> {
-        let (scan_list, pruned, fell_back) = self.scan_list_for(csr, user, handle, raters);
+        let tile = handle.engine.tile_for(ratings, &self.sim_params());
+        let (scan_list, pruned, fell_back) = self.scan_list_for(ratings, user, handle, raters);
         let mut sims = Vec::new();
         let outcome = {
             let _p = exrec_obs::profile::phase("kernel");
             scan_similarities(
-                csr,
+                ratings,
                 &self.sim_params(),
                 user,
-                Some(&scan_list),
-                handle.engine.tile(),
+                scan_list.as_deref(),
+                tile,
                 &mut sims,
             )
         };
+        let scanned = scan_list.map_or(ratings.n_users(), |list| list.len());
         handle.engine.record_scan(
             &outcome,
-            pruned.then_some((scan_list.len(), csr.n_users())),
+            pruned.then_some((scanned, ratings.n_users())),
             fell_back,
         );
         sims
     }
 
-    /// The user list one scan should score, per mode: `raters` bounds
-    /// the scan to one item's raters when given (single-item paths),
-    /// the pruned candidate set intersects with it, and a candidate set
-    /// under the fallback floor degrades to the exact list. Returns
-    /// `(list, is_pruned, fell_back)`.
+    /// The users one scan should score, per mode: `None` for every
+    /// user, which the kernel walks in contiguous tiles. `raters`
+    /// bounds the scan to one item's raters when given (single-item
+    /// paths), the pruned candidate set intersects with it, and a
+    /// candidate set under the fallback floor degrades to the exact
+    /// list. Returns `(list, is_pruned, fell_back)`.
     fn scan_list_for(
         &self,
-        csr: &Arc<CsrRatings>,
+        ratings: &RatingsMatrix,
         user: UserId,
         handle: &ScanHandle,
-        raters: Option<&[u32]>,
-    ) -> (Vec<u32>, bool, bool) {
-        let exact_list = || -> Vec<u32> {
-            match raters {
-                Some(r) => r.to_vec(),
-                None => (0..csr.n_users() as u32).collect(),
-            }
-        };
+        raters: Option<Vec<u32>>,
+    ) -> (Option<Vec<u32>>, bool, bool) {
         match handle.mode {
-            ScanMode::Exact => (exact_list(), false, false),
+            ScanMode::Exact => (raters, false, false),
             ScanMode::Pruned => {
                 // Two complementary candidate sources (docs/kernels.md
                 // §pruned-probing): cluster probes catch taste
@@ -287,19 +283,23 @@ impl UserKnn {
                 // them dominate neighbourhoods.
                 let candidates = {
                     let _p = exrec_obs::profile::phase("index");
-                    let index = handle.engine.index(csr);
-                    let clustered = index.candidates(csr, user.raw());
-                    let budget = handle.engine.index_config().resolve_budget(csr.n_users());
-                    let by_overlap = crate::kernel::overlap_candidates(csr, user, budget);
+                    let index = handle.engine.index(ratings);
+                    let clustered = index.candidates(ratings, user.raw());
+                    let budget = handle
+                        .engine
+                        .index_config()
+                        .resolve_budget(ratings.n_users());
+                    let by_overlap = crate::kernel::overlap_candidates(ratings, user, budget);
                     crate::kernel::union_sorted(&clustered, &by_overlap)
                 };
                 if candidates.len() < handle.engine.fallback_floor(self.config.k) {
-                    return (exact_list(), false, true);
+                    return (raters, false, true);
                 }
-                match raters {
-                    None => (candidates, true, false),
-                    Some(r) => (intersect_sorted(r, &candidates), true, false),
-                }
+                let list = match raters {
+                    None => candidates,
+                    Some(r) => intersect_sorted(&r, &candidates),
+                };
+                (Some(list), true, false)
             }
         }
     }
@@ -309,20 +309,19 @@ impl UserKnn {
     /// user order, keep `s > min_similarity`, stable top-k.
     fn gather_neighbors(
         &self,
-        csr: &CsrRatings,
+        ratings: &RatingsMatrix,
         sims: &[f64],
         user: UserId,
         item: ItemId,
     ) -> Vec<NeighborContribution> {
-        let (col_users, col_vals) = csr.col(item.index());
-        let contributions = col_users
+        let contributions = ratings
+            .item_ratings(item)
             .iter()
-            .zip(col_vals.iter())
-            .filter(|&(&v, _)| UserId(v) != user)
-            .filter_map(|(&v, &rating)| {
-                let s = sims[v as usize];
+            .filter(|&&(v, _)| v != user)
+            .filter_map(|&(v, rating)| {
+                let s = sims[v.index()];
                 (s > self.config.min_similarity).then_some(NeighborContribution {
-                    user: UserId(v),
+                    user: v,
                     similarity: s,
                     rating,
                 })
@@ -335,25 +334,32 @@ impl UserKnn {
     /// "Gathering neighbourhoods"). Users with `sim > min_similarity`
     /// are visited in (sim desc, id asc) order, sorted one head of
     /// [`GATHER_HEAD`] users at a time. Each visited user joins the list
-    /// of every open item in their CSR row; an item closes at `k`
-    /// entries, and the walk stops once every item is closed. Each list
-    /// then equals [`UserKnn::gather_neighbors`] on the same table,
-    /// entry for entry, because both keep the first `k` raters in that
-    /// order. Lists come back parallel to `items`.
+    /// of every open item in their row; an item closes at `k` entries,
+    /// and the walk stops once every item is closed. Each list then
+    /// equals [`UserKnn::gather_neighbors`] on the same table, entry
+    /// for entry, because both keep the first `k` raters in that order.
+    /// Lists come back parallel to `items`.
+    ///
+    /// The walk reads each visited user's row anyway, so it also takes
+    /// their mean rating there: the second return is a table whose
+    /// entry `v` is `v`'s mean for every visited user (every user in a
+    /// list), which makes each neighbour mean an `O(1)` lookup. It
+    /// reuses the buffer of `sims`, which is spent once the walk order
+    /// is drawn from it.
     fn gather_ranked(
         &self,
-        csr: &CsrRatings,
-        sims: &[f64],
+        ratings: &RatingsMatrix,
+        sims: Vec<f64>,
         user: UserId,
         items: &[ItemId],
-    ) -> Vec<Vec<NeighborContribution>> {
+    ) -> (Vec<Vec<NeighborContribution>>, Vec<f64>) {
         let k = self.config.k;
         // `slot[item]`: the item's position in `lists` while it is open.
-        let mut slot = vec![u32::MAX; csr.n_items()];
+        let mut slot = vec![u32::MAX; ratings.n_items()];
         let mut lists = Vec::with_capacity(items.len());
-        for (pos, item) in items.iter().enumerate() {
+        for (pos, &item) in items.iter().enumerate() {
             slot[item.index()] = pos as u32;
-            lists.push(Vec::with_capacity(k.min(csr.col(item.index()).0.len())));
+            lists.push(Vec::with_capacity(k.min(ratings.item_ratings(item).len())));
         }
         let mut open = items.len();
         let mut order: Vec<(f64, u32)> = sims
@@ -362,6 +368,7 @@ impl UserKnn {
             .filter(|&(v, &s)| s > self.config.min_similarity && v != user.index())
             .map(|(v, &s)| (s, v as u32))
             .collect();
+        let mut means = sims;
         // The id makes every key unique, so a head cut is exact.
         let better = |a: &(f64, u32), b: &(f64, u32)| {
             b.0.partial_cmp(&a.0)
@@ -378,9 +385,15 @@ impl UserKnn {
             let head = &mut rest[..len];
             head.sort_unstable_by(better);
             for &(similarity, v) in head.iter() {
-                let (row_items, row_vals) = csr.row(v as usize);
-                for (&i, &rating) in row_items.iter().zip(row_vals) {
-                    let pos = slot[i as usize];
+                let row = ratings.user_ratings(UserId(v));
+                // The running sum is `RatingsMatrix::user_mean`'s fold
+                // (std's float `Sum` starts from -0.0 and adds in item
+                // order), so the mean is bit-identical. Only users in a
+                // list have their mean read, and their rows are not empty.
+                let mut sum = -0.0;
+                for &(i, rating) in row {
+                    sum += rating;
+                    let pos = slot[i.index()];
                     if pos == u32::MAX {
                         continue;
                     }
@@ -391,23 +404,24 @@ impl UserKnn {
                         rating,
                     });
                     if list.len() == k {
-                        slot[i as usize] = u32::MAX;
+                        slot[i.index()] = u32::MAX;
                         open -= 1;
                     }
                 }
+                means[v as usize] = sum / row.len() as f64;
                 if open == 0 {
                     break;
                 }
             }
             start += len;
         }
-        lists
+        (lists, means)
     }
 
     /// Resnick's mean-centred prediction from a ranked neighbourhood:
     /// the arithmetic behind every prediction and ranking score.
     /// `neighbor_mean` resolves a neighbour's mean rating, from the live
-    /// matrix or the CSR snapshot (the two are bit-identical).
+    /// matrix or the gather's mean table (the two are bit-identical).
     fn prediction_from(
         &self,
         ctx: &Ctx<'_>,
@@ -495,15 +509,14 @@ impl UserKnn {
                     .collect()
             }
             Some(handle) => {
-                let csr = self.csr_for(ctx, handle);
-                let sims = self.scan_sims(&csr, user, handle, None);
+                let sims = self.scan_sims(ctx.ratings, user, handle, None);
                 let _p = exrec_obs::profile::phase("gather");
-                let lists = self.gather_ranked(&csr, &sims, user, &items);
-                let csr_mean = |v: UserId| csr.user_mean_or(v.index(), global_mean);
+                let (lists, means) = self.gather_ranked(ctx.ratings, sims, user, &items);
+                let gathered_mean = |v: UserId| means[v.index()];
                 items
                     .into_iter()
                     .zip(lists)
-                    .filter_map(|(i, neighbors)| scored(i, neighbors, &csr_mean))
+                    .filter_map(|(i, neighbors)| scored(i, neighbors, &gathered_mean))
                     .collect()
             }
         };

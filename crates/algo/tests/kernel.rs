@@ -1,5 +1,5 @@
-//! Integration and property tests for the CSR-tiled similarity kernel
-//! and the cluster-pruned candidate index.
+//! Integration and property tests for the tiled similarity kernel, the
+//! cluster-pruned candidate index and the one ratings store they read.
 //!
 //! The correctness bar from `docs/kernels.md`:
 //!
@@ -18,12 +18,13 @@
 //! * **Pruned mode keeps recall@k ≥ 0.99** against exact on seeded
 //!   synthetic worlds, and **falls back to exact** when the candidate
 //!   set is too small for `k`.
+//! * **One store** — scans read the served matrix: a write shows in the
+//!   next ranking with no engine notification, the write path never
+//!   copies the store, and the engine holds no matrix between requests.
 
 use std::sync::Arc;
 
-use exrec_algo::kernel::{
-    overlap_candidates, scan_similarities, union_sorted, CsrRatings, SimParams,
-};
+use exrec_algo::kernel::{overlap_candidates, scan_similarities, union_sorted, SimParams};
 use exrec_algo::neighbors::top_k_stream;
 use exrec_algo::recommender::NeighborContribution;
 use exrec_algo::user_knn::UserKnnConfig;
@@ -35,7 +36,7 @@ use exrec_core::engine::Explainer;
 use exrec_core::interfaces::InterfaceId;
 use exrec_core::render::{PlainRenderer, Render};
 use exrec_data::synth::{movies, WorldConfig};
-use exrec_data::{RatingsMatrix, World};
+use exrec_data::{MutableWorld, RatingsMatrix, WalRecord, World};
 use exrec_obs::Telemetry;
 use exrec_types::{Error, ItemId, Prediction, UserId};
 use proptest::prelude::*;
@@ -189,7 +190,6 @@ fn exact_mode_is_bit_identical_to_brute() {
 /// scored by the mean-centred predictor; ranked by score, then id.
 fn column_gather_ranking(
     ctx: &Ctx<'_>,
-    csr: &CsrRatings,
     sims: &[f64],
     config: &UserKnnConfig,
     user: UserId,
@@ -201,14 +201,13 @@ fn column_gather_ranking(
         .ids()
         .filter(|&i| ctx.ratings.rating(user, i).is_none())
         .filter_map(|item| {
-            let (users, values) = csr.col(item.index());
-            let raters = users.iter().zip(values);
+            let raters = ctx.ratings.item_ratings(item).iter();
             let neighbors = top_k_stream(
                 raters
-                    .filter(|&(&v, _)| v != user.raw() && sims[v as usize] > config.min_similarity)
-                    .map(|(&v, &rating)| NeighborContribution {
-                        user: UserId(v),
-                        similarity: sims[v as usize],
+                    .filter(|&&(v, _)| v != user && sims[v.index()] > config.min_similarity)
+                    .map(|&(v, rating)| NeighborContribution {
+                        user: v,
+                        similarity: sims[v.index()],
                         rating,
                     }),
                 config.k,
@@ -216,7 +215,8 @@ fn column_gather_ranking(
             );
             let (mut num, mut den) = (0.0, 0.0);
             for n in &neighbors {
-                num += n.similarity * (n.rating - csr.user_mean_or(n.user.index(), global));
+                let mean = ctx.ratings.user_mean(n.user).unwrap_or(global);
+                num += n.similarity * (n.rating - mean);
                 den += n.similarity.abs();
             }
             let score = ctx.ratings.scale().bound(user_mean + num / den);
@@ -267,20 +267,27 @@ fn ranking_matches_the_column_gather() {
             // The scan list the model builds: in pruned mode cluster
             // probes plus the overlap pass, exact below the fallback
             // floor.
-            let csr = engine.csr(&w.ratings, &params);
+            let ratings = engine.csr(&w.ratings, &params);
             let mut list: Vec<u32> = (0..n_users as u32).collect();
             if mode == ScanMode::Pruned {
                 let budget = engine.index_config().resolve_budget(n_users);
                 let candidates = union_sorted(
-                    &engine.index(&csr).candidates(&csr, user.raw()),
-                    &overlap_candidates(&csr, user, budget),
+                    &engine.index(&ratings).candidates(&ratings, user.raw()),
+                    &overlap_candidates(&ratings, user, budget),
                 );
                 if candidates.len() >= engine.fallback_floor(config.k) {
                     list = candidates;
                 }
             }
-            scan_similarities(&csr, &params, user, Some(&list), engine.tile(), &mut sims);
-            let want = column_gather_ranking(&ctx, &csr, &sims, &config, user);
+            scan_similarities(
+                &ratings,
+                &params,
+                user,
+                Some(&list),
+                engine.tile(),
+                &mut sims,
+            );
+            let want = column_gather_ranking(&ctx, &sims, &config, user);
             let label = format!("{} user {u}", mode.name());
             assert_eq!(got.len(), want.len(), "{label}: ranked items");
             for ((scored, evidence), (item, score, neighbors)) in got.iter().zip(&want) {
@@ -526,9 +533,9 @@ fn tile_size_is_result_invariant() {
 fn pruned_recall_at_k_holds() {
     for (n_users, n_items, seed) in [(4000usize, 150usize, 0xFEEDu64), (6000, 200, 0x5EED)] {
         let w = world(n_users, n_items, seed);
-        let csr = Arc::new(CsrRatings::from_matrix(&w.ratings));
+        let ratings = &w.ratings;
         let index_cfg = IndexConfig::default();
-        let index = exrec_algo::CandidateIndex::build(&csr, &index_cfg);
+        let index = exrec_algo::CandidateIndex::build(ratings, &index_cfg);
         let params = SimParams {
             similarity: Similarity::Pearson,
             min_overlap: 2,
@@ -540,15 +547,15 @@ fn pruned_recall_at_k_holds() {
         let mut pruned_something = false;
         for u in (0..n_users).step_by(n_users / 50) {
             let user = UserId(u as u32);
-            scan_similarities(&csr, &params, user, None, 2048, &mut exact_sims);
+            scan_similarities(ratings, &params, user, None, 2048, &mut exact_sims);
             let cands = union_sorted(
-                &index.candidates(&csr, user.raw()),
-                &overlap_candidates(&csr, user, index_cfg.resolve_budget(n_users)),
+                &index.candidates(ratings, user.raw()),
+                &overlap_candidates(ratings, user, index_cfg.resolve_budget(n_users)),
             );
             if cands.len() < n_users {
                 pruned_something = true;
             }
-            scan_similarities(&csr, &params, user, Some(&cands), 2048, &mut pruned_sims);
+            scan_similarities(ratings, &params, user, Some(&cands), 2048, &mut pruned_sims);
             let topk = |sims: &[f64]| -> Vec<u32> {
                 top_k_stream(
                     (0..n_users as u32).filter(|&v| v as usize != u && sims[v as usize] > 0.0),
@@ -597,13 +604,17 @@ fn tiny_candidate_set_falls_back_to_exact() {
     );
 }
 
-/// Mutating the matrix must invalidate the engine's snapshot: the next
-/// scan sees the new rating, matching the stateless brute path.
+/// One store: right after `RatingsMatrix::rate`, with no
+/// `notify_deltas` call, an exact-engine ranking sees the new rating and
+/// matches the stateless brute path bit for bit, for the writer and for
+/// users whose neighbourhoods the write moved.
 #[test]
 fn engine_observes_rating_updates() {
     let mut w = world(100, 50, 0xAB1E);
-    let engine = engine_with(TileSize::Auto, IndexConfig::default());
-    let exact = UserKnn::default().with_engine(Arc::clone(&engine), ScanMode::Exact);
+    let exact = UserKnn::default().with_engine(
+        engine_with(TileSize::Auto, IndexConfig::default()),
+        ScanMode::Exact,
+    );
     let brute = UserKnn::default();
     let user = UserId(3);
     let before = {
@@ -611,8 +622,7 @@ fn engine_observes_rating_updates() {
         exact.recommend(&ctx, user, 5)
     };
     let target = before.first().expect("needs a recommendation").item;
-    // The user rates their own top pick; it must vanish from the list
-    // and the rebuilt snapshot must agree with brute exactly.
+    // The user rates their own top pick; it must vanish from the list.
     w.ratings.rate(user, target, 1.0).unwrap();
     let ctx = Ctx::new(&w.ratings, &w.catalog);
     let after = exact.recommend(&ctx, user, 5);
@@ -620,53 +630,76 @@ fn engine_observes_rating_updates() {
         after.iter().all(|s| s.item != target),
         "rated item must drop"
     );
-    assert_bit_identical(&after, &brute.recommend(&ctx, user, 5), "post-mutation");
-    assert!(engine.stats().csr_builds >= 2, "snapshot must have rebuilt");
+    for u in (0..100u32).step_by(9).chain([user.raw()]) {
+        let label = format!("post-mutation user {u}");
+        let (exact, brute) = (
+            exact.recommend(&ctx, UserId(u), 5),
+            brute.recommend(&ctx, UserId(u), 5),
+        );
+        assert_bit_identical(&exact, &brute, &label);
+    }
+}
+
+/// One store: serving reads and writes share the world's matrix. A
+/// write through `MutableWorld::apply`, made while no reader holds the
+/// world, leaves an untouched user's row where it was, so the write
+/// path never copies the store and the engine keeps no handle on the
+/// matrix between requests; and the next ranking sees the write.
+#[test]
+fn serving_writes_never_copy_the_store() {
+    let w = world(4000, 150, 0xFEED);
+    for mode in [ScanMode::Pruned, ScanMode::Exact] {
+        let engine = engine_with(TileSize::Auto, IndexConfig::default());
+        let model = UserKnn::default().with_engine(Arc::clone(&engine), mode);
+        let live = MutableWorld::new(w.clone());
+        let (writer, bystander) = (UserId(7), UserId(11));
+        let row_at = |u: UserId| live.read().ratings.user_ratings(u).as_ptr() as usize;
+        let read = |u: UserId| {
+            let world = live.read();
+            model.recommend(&Ctx::new(&world.ratings, &world.catalog), u, 5)
+        };
+        // The first reads tune the tile and build the index.
+        assert!(!read(writer).is_empty());
+        read(bystander);
+        // `w` still shares the store with `live`: the first write
+        // unshares it, and every later one must write in place.
+        let write = |item: ItemId, value: f64| {
+            let record = WalRecord::Rate {
+                user: writer,
+                item,
+                value,
+            };
+            live.apply(&record, |_, deltas| engine.notify_deltas(deltas))
+                .unwrap();
+        };
+        write(read(writer)[0].item, 1.0);
+        let before = row_at(bystander);
+        for _ in 0..3 {
+            let top = read(writer)[0].item;
+            write(top, 1.0);
+            assert_eq!(
+                row_at(bystander),
+                before,
+                "{}: a write moved an untouched row",
+                mode.name()
+            );
+            assert!(
+                read(writer).iter().all(|s| s.item != top),
+                "{}: the rated item must drop",
+                mode.name()
+            );
+        }
+        if mode == ScanMode::Pruned {
+            assert!(
+                engine.stats().index_patches > 0,
+                "writes reassign the index"
+            );
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// CSR round-trip: every row, column, mean and count the snapshot
-    /// exposes matches the dense matrix it was built from.
-    #[test]
-    fn csr_round_trips_dense_matrix(seed in 0u64..1000, n_users in 2usize..40, n_items in 2usize..30) {
-        let w = movies::generate(&WorldConfig {
-            n_users,
-            n_items,
-            density: 0.3,
-            seed,
-            ..WorldConfig::default()
-        });
-        let m = &w.ratings;
-        let csr = CsrRatings::from_matrix(m);
-        prop_assert_eq!(csr.n_users(), m.n_users());
-        prop_assert_eq!(csr.n_items(), m.n_items());
-        prop_assert_eq!(csr.n_ratings(), m.n_ratings());
-        prop_assert_eq!(csr.revision(), m.revision());
-        for u in 0..m.n_users() {
-            let dense = m.user_ratings(UserId(u as u32));
-            let (items, vals) = csr.row(u);
-            prop_assert_eq!(items.len(), dense.len());
-            for (j, &(item, value)) in dense.iter().enumerate() {
-                prop_assert_eq!(items[j], item.raw());
-                prop_assert_eq!(vals[j].to_bits(), value.to_bits());
-            }
-            match m.user_mean(UserId(u as u32)) {
-                Some(mean) => prop_assert_eq!(csr.user_mean_or(u, f64::NAN).to_bits(), mean.to_bits()),
-                None => prop_assert_eq!(csr.user_mean_or(u, 9.5), 9.5),
-            }
-        }
-        for i in 0..m.n_items() {
-            let dense = m.item_ratings(ItemId(i as u32));
-            let (users, vals) = csr.col(i);
-            prop_assert_eq!(users.len(), dense.len());
-            for (j, &(user, value)) in dense.iter().enumerate() {
-                prop_assert_eq!(users[j], user.raw());
-                prop_assert_eq!(vals[j].to_bits(), value.to_bits());
-            }
-        }
-    }
 
     /// The raw kernel at any tile size equals the tile-1 kernel: the
     /// sims table is bit-for-bit the same, full range or subset.
@@ -679,21 +712,21 @@ proptest! {
             seed,
             ..WorldConfig::default()
         });
-        let csr = CsrRatings::from_matrix(&w.ratings);
+        let ratings = &w.ratings;
         let params = SimParams {
             similarity: Similarity::Pearson,
             min_overlap: 2,
             significance: 10,
         };
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        scan_similarities(&csr, &params, UserId(user), None, 1, &mut a);
-        scan_similarities(&csr, &params, UserId(user), None, tile, &mut b);
-        for v in 0..csr.n_users() {
+        scan_similarities(ratings, &params, UserId(user), None, 1, &mut a);
+        scan_similarities(ratings, &params, UserId(user), None, tile, &mut b);
+        for v in 0..ratings.n_users() {
             prop_assert_eq!(a[v].to_bits(), b[v].to_bits(), "full scan, candidate {}", v);
         }
         let subset: Vec<u32> = (0..30u32).step_by(3).collect();
-        scan_similarities(&csr, &params, UserId(user), Some(&subset), tile, &mut b);
-        for v in 0..csr.n_users() {
+        scan_similarities(ratings, &params, UserId(user), Some(&subset), tile, &mut b);
+        for v in 0..ratings.n_users() {
             let want = if subset.contains(&(v as u32)) { a[v] } else { 0.0 };
             prop_assert_eq!(b[v].to_bits(), want.to_bits(), "subset scan, candidate {}", v);
         }
@@ -705,15 +738,13 @@ proptest! {
 #[test]
 fn degenerate_worlds_are_safe() {
     let m = RatingsMatrix::new(0, 0, exrec_types::RatingScale::FIVE_STAR);
-    let csr = CsrRatings::from_matrix(&m);
-    assert_eq!(csr.n_ratings(), 0);
     let params = SimParams {
         similarity: Similarity::Pearson,
         min_overlap: 2,
         significance: 0,
     };
     let mut sims = Vec::new();
-    let outcome = scan_similarities(&csr, &params, UserId(0), None, 16, &mut sims);
+    let outcome = scan_similarities(&m, &params, UserId(0), None, 16, &mut sims);
     assert_eq!(outcome.scored, 0);
 
     let w = world(1, 5, 0x01);

@@ -14,11 +14,13 @@
 //!
 //! The [`RatingsMatrix`] additionally carries a monotone *revision
 //! counter* ([`RatingsMatrix::revision`]) bumped by every successful
-//! mutation. Derived state — most prominently the scan engine's CSR
-//! snapshot in `exrec-algo` — keys itself to it, which makes
+//! mutation. Derived state — most prominently the scan engine's
+//! candidate index in `exrec-algo` — keys itself to it, which makes
 //! invalidation lazy, exact, and free when nothing changed. The counter
 //! is deliberately excluded from equality: two matrices with the same
-//! content compare equal regardless of their edit histories.
+//! content compare equal regardless of their edit histories. Clones
+//! share one copy-on-write store, so handing a reader a matrix handle
+//! costs `O(1)`.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

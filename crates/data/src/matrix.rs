@@ -7,6 +7,8 @@
 //! (survey Section 5.3) re-rates items mid-session and expects models to
 //! observe the change.
 
+use std::sync::Arc;
+
 use exrec_types::{Error, ItemId, Rating, RatingScale, Result, UserId};
 
 /// A sparse ratings matrix over dense user and item id spaces.
@@ -23,18 +25,29 @@ use exrec_types::{Error, ItemId, Rating, RatingScale, Result, UserId};
 /// assert_eq!(m.n_ratings(), 0);
 /// # Ok::<(), exrec_types::Error>(())
 /// ```
+///
+/// The ratings sit behind one [`Arc`], so cloning is `O(1)`: the clone
+/// shares them until either side writes, and that first write copies
+/// them (`O(ratings)`). A matrix nobody else holds is written in place.
 #[derive(Debug, Clone)]
 pub struct RatingsMatrix {
     scale: RatingScale,
+    store: Arc<Store>,
+    /// Bumped on every mutation; lets derived state (the candidate
+    /// index, fitted models) detect that the matrix has changed
+    /// underneath them.
+    revision: u64,
+}
+
+/// The ratings a [`RatingsMatrix`] shares between its clones.
+#[derive(Debug, Clone, PartialEq)]
+struct Store {
     /// `by_user[u]` = sorted `(item, value)` pairs.
     by_user: Vec<Vec<(ItemId, f64)>>,
     /// `by_item[i]` = sorted `(user, value)` pairs.
     by_item: Vec<Vec<(UserId, f64)>>,
     n_ratings: usize,
     sum: f64,
-    /// Bumped on every mutation; lets derived state (CSR snapshots,
-    /// fitted models) detect that the matrix has changed underneath them.
-    revision: u64,
 }
 
 /// Equality compares *content* (scale and ratings), not the revision
@@ -42,11 +55,7 @@ pub struct RatingsMatrix {
 /// their mutation histories differ.
 impl PartialEq for RatingsMatrix {
     fn eq(&self, other: &Self) -> bool {
-        self.scale == other.scale
-            && self.by_user == other.by_user
-            && self.by_item == other.by_item
-            && self.n_ratings == other.n_ratings
-            && self.sum == other.sum
+        self.scale == other.scale && self.store == other.store
     }
 }
 
@@ -56,12 +65,19 @@ impl RatingsMatrix {
     pub fn new(n_users: usize, n_items: usize, scale: RatingScale) -> Self {
         Self {
             scale,
-            by_user: vec![Vec::new(); n_users],
-            by_item: vec![Vec::new(); n_items],
-            n_ratings: 0,
-            sum: 0.0,
+            store: Arc::new(Store {
+                by_user: vec![Vec::new(); n_users],
+                by_item: vec![Vec::new(); n_items],
+                n_ratings: 0,
+                sum: 0.0,
+            }),
             revision: 0,
         }
+    }
+
+    /// The store, unshared first: copies it if another handle holds it.
+    fn store_mut(&mut self) -> &mut Store {
+        Arc::make_mut(&mut self.store)
     }
 
     /// Builds the matrix that `rate`-ing each row's ratings in order, user
@@ -92,10 +108,12 @@ impl RatingsMatrix {
         }
         Self {
             scale,
-            by_user,
-            by_item,
-            n_ratings,
-            sum,
+            store: Arc::new(Store {
+                by_user,
+                by_item,
+                n_ratings,
+                sum,
+            }),
             revision: n_ratings as u64,
         }
     }
@@ -104,7 +122,7 @@ impl RatingsMatrix {
     /// stored ratings ([`RatingsMatrix::rate`] / [`RatingsMatrix::unrate`]).
     ///
     /// Consumers that derive state from the matrix — the scan engine's
-    /// CSR snapshot in `exrec-algo`, fitted item-item tables — record
+    /// candidate index in `exrec-algo`, fitted item-item tables — record
     /// the revision they computed against and treat a mismatch as "the
     /// world moved, recompute". Cloning preserves the current value;
     /// revisions are comparable only within one matrix's lineage.
@@ -122,19 +140,19 @@ impl RatingsMatrix {
     /// Number of users in the id space (rated or not).
     #[inline]
     pub fn n_users(&self) -> usize {
-        self.by_user.len()
+        self.store.by_user.len()
     }
 
     /// Number of items in the id space (rated or not).
     #[inline]
     pub fn n_items(&self) -> usize {
-        self.by_item.len()
+        self.store.by_item.len()
     }
 
     /// Total number of stored ratings.
     #[inline]
     pub fn n_ratings(&self) -> usize {
-        self.n_ratings
+        self.store.n_ratings
     }
 
     /// Fraction of the user×item grid that is rated.
@@ -143,26 +161,26 @@ impl RatingsMatrix {
         if cells == 0 {
             0.0
         } else {
-            self.n_ratings as f64 / cells as f64
+            self.n_ratings() as f64 / cells as f64
         }
     }
 
     /// Grows the user space to at least `n` users.
     pub fn ensure_users(&mut self, n: usize) {
-        if n > self.by_user.len() {
-            self.by_user.resize_with(n, Vec::new);
+        if n > self.n_users() {
+            self.store_mut().by_user.resize_with(n, Vec::new);
         }
     }
 
     /// Grows the item space to at least `n` items.
     pub fn ensure_items(&mut self, n: usize) {
-        if n > self.by_item.len() {
-            self.by_item.resize_with(n, Vec::new);
+        if n > self.n_items() {
+            self.store_mut().by_item.resize_with(n, Vec::new);
         }
     }
 
     fn check_user(&self, user: UserId) -> Result<()> {
-        if user.index() < self.by_user.len() {
+        if user.index() < self.n_users() {
             Ok(())
         } else {
             Err(Error::UnknownUser { user })
@@ -170,7 +188,7 @@ impl RatingsMatrix {
     }
 
     fn check_item(&self, item: ItemId) -> Result<()> {
-        if item.index() < self.by_item.len() {
+        if item.index() < self.n_items() {
             Ok(())
         } else {
             Err(Error::UnknownItem { item })
@@ -191,7 +209,8 @@ impl RatingsMatrix {
         let rating = Rating::new(value, &self.scale)?;
         let v = rating.value();
 
-        let row = &mut self.by_user[user.index()];
+        let store = self.store_mut();
+        let row = &mut store.by_user[user.index()];
         let prev = match row.binary_search_by_key(&item, |&(i, _)| i) {
             Ok(pos) => {
                 let old = row[pos].1;
@@ -204,7 +223,7 @@ impl RatingsMatrix {
             }
         };
 
-        let col = &mut self.by_item[item.index()];
+        let col = &mut store.by_item[item.index()];
         match col.binary_search_by_key(&user, |&(u, _)| u) {
             Ok(pos) => col[pos].1 = v,
             Err(pos) => col.insert(pos, (user, v)),
@@ -212,11 +231,11 @@ impl RatingsMatrix {
 
         match prev {
             Some(old) => {
-                self.sum += v - old;
+                store.sum += v - old;
             }
             None => {
-                self.n_ratings += 1;
-                self.sum += v;
+                store.n_ratings += 1;
+                store.sum += v;
             }
         }
         self.revision += 1;
@@ -232,27 +251,28 @@ impl RatingsMatrix {
     pub fn unrate(&mut self, user: UserId, item: ItemId) -> Result<Option<f64>> {
         self.check_user(user)?;
         self.check_item(item)?;
-        let row = &mut self.by_user[user.index()];
-        let removed = match row.binary_search_by_key(&item, |&(i, _)| i) {
-            Ok(pos) => Some(row.remove(pos).1),
-            Err(_) => None,
+        let Ok(pos) = self
+            .user_ratings(user)
+            .binary_search_by_key(&item, |&(i, _)| i)
+        else {
+            return Ok(None);
         };
-        if let Some(v) = removed {
-            let col = &mut self.by_item[item.index()];
-            if let Ok(pos) = col.binary_search_by_key(&user, |&(u, _)| u) {
-                col.remove(pos);
-            }
-            self.n_ratings -= 1;
-            self.sum -= v;
-            self.revision += 1;
+        let store = self.store_mut();
+        let v = store.by_user[user.index()].remove(pos).1;
+        let col = &mut store.by_item[item.index()];
+        if let Ok(pos) = col.binary_search_by_key(&user, |&(u, _)| u) {
+            col.remove(pos);
         }
-        Ok(removed)
+        store.n_ratings -= 1;
+        store.sum -= v;
+        self.revision += 1;
+        Ok(Some(v))
     }
 
     /// The rating a user gave an item, if any. Out-of-range ids yield
     /// `None` (lookup is a query, not a mutation — it should not fail).
     pub fn rating(&self, user: UserId, item: ItemId) -> Option<f64> {
-        let row = self.by_user.get(user.index())?;
+        let row = self.user_ratings(user);
         row.binary_search_by_key(&item, |&(i, _)| i)
             .ok()
             .map(|pos| row[pos].1)
@@ -261,7 +281,8 @@ impl RatingsMatrix {
     /// All ratings by `user`, sorted by item id. Empty for out-of-range
     /// users.
     pub fn user_ratings(&self, user: UserId) -> &[(ItemId, f64)] {
-        self.by_user
+        self.store
+            .by_user
             .get(user.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -270,7 +291,8 @@ impl RatingsMatrix {
     /// All ratings of `item`, sorted by user id. Empty for out-of-range
     /// items.
     pub fn item_ratings(&self, item: ItemId) -> &[(UserId, f64)] {
-        self.by_item
+        self.store
+            .by_item
             .get(item.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -298,26 +320,27 @@ impl RatingsMatrix {
 
     /// Global mean rating, or the scale midpoint when empty.
     pub fn global_mean(&self) -> f64 {
-        if self.n_ratings == 0 {
+        if self.store.n_ratings == 0 {
             self.scale.midpoint()
         } else {
-            self.sum / self.n_ratings as f64
+            self.store.sum / self.store.n_ratings as f64
         }
     }
 
     /// Iterator over all user ids in the id space.
     pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        (0..self.by_user.len() as u32).map(UserId::new)
+        (0..self.n_users() as u32).map(UserId::new)
     }
 
     /// Iterator over all item ids in the id space.
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        (0..self.by_item.len() as u32).map(ItemId::new)
+        (0..self.n_items() as u32).map(ItemId::new)
     }
 
     /// Iterator over every `(user, item, value)` triple, user-major.
     pub fn triples(&self) -> impl Iterator<Item = (UserId, ItemId, f64)> + '_ {
-        self.by_user
+        self.store
+            .by_user
             .iter()
             .enumerate()
             .flat_map(|(u, row)| row.iter().map(move |&(i, v)| (UserId::new(u as u32), i, v)))

@@ -289,7 +289,7 @@ impl ExplainApp {
     }
 
     /// Current ratings-matrix revision (bumps on mutation; keys the
-    /// scan engine's CSR snapshot).
+    /// scan engine's candidate index).
     pub fn ratings_revision(&self) -> u64 {
         self.world.read().ratings.revision()
     }
@@ -659,9 +659,10 @@ impl ExplainApp {
                 if deltas.is_empty() {
                     return;
                 }
-                // The engine buffers the deltas and patches its CSR
-                // snapshot / candidate index incrementally on the next
-                // scan (full rebuild only past the drift threshold).
+                // Scans read the matrix just written; the engine buffers
+                // the deltas and reassigns its candidate index on the
+                // next pruned scan (full rebuild only past the drift
+                // threshold).
                 if let Some((engine, _)) = self.model.engine() {
                     engine.notify_deltas(deltas);
                 }

@@ -338,10 +338,6 @@ pub struct ScanStatsBody {
     /// The startup autotuner's sweep, when tile selection was
     /// automatic (empty under a fixed tile).
     pub sweep: Vec<SweepPointBody>,
-    /// Revision of the resident CSR snapshot, if one has been built.
-    pub csr_revision: Option<u64>,
-    /// CSR snapshot (re)builds since start.
-    pub csr_builds: u64,
     /// Candidate-index (re)builds since start.
     pub index_builds: u64,
     /// Shape of the resident candidate index, if one has been built.
@@ -360,23 +356,22 @@ pub struct ScanStatsBody {
     /// Fraction of the user dimension the last pruned scan skipped
     /// (`0.0` until a pruned scan runs).
     pub prune_ratio: f64,
-    /// Ratings-matrix revisions the resident CSR snapshot is behind
-    /// (`0` = in sync; `None` until a CSR is built). Non-zero here
-    /// means writes have landed that the next scan will absorb —
-    /// incrementally if the delta chain is intact and under the drift
-    /// threshold, otherwise by full rebuild.
+    /// Ratings-matrix revisions the resident candidate index is behind
+    /// (`0` = in sync; `None` until an index is built, and always in
+    /// exact mode, which has none). Scans read the matrix itself and
+    /// never lag; non-zero here means writes have landed that the next
+    /// pruned scan's index will absorb — by reassignment if the delta
+    /// chain is intact and under the drift threshold, otherwise by full
+    /// rebuild.
     #[serde(default)]
     pub revision_lag: Option<u64>,
-    /// Incremental CSR patches applied instead of full rebuilds.
-    #[serde(default)]
-    pub csr_patches: u64,
     /// Incremental candidate-index reassignments (vs. full rebuilds).
     #[serde(default)]
     pub index_patches: u64,
     /// Write deltas buffered for the next scan to absorb.
     #[serde(default)]
     pub pending_deltas: usize,
-    /// Deltas absorbed into the resident CSR since its last full
+    /// Deltas absorbed into the resident index since its last full
     /// build (drives the drift-threshold rebuild decision).
     #[serde(default)]
     pub patched_since_build: u64,

@@ -112,7 +112,7 @@ pub struct WatchTuning {
     /// Floor under the live `quality.fidelity` gauge.
     pub quality_min: f64,
     /// Ceiling on the scan engine's `revision_lag` (matrix revisions
-    /// the resident CSR trails the live world by).
+    /// the resident candidate index trails the live world by).
     pub revision_lag_max: f64,
     /// Floor under the pruned scan's `prune_ratio`.
     pub prune_ratio_min: f64,
@@ -556,14 +556,14 @@ fn maybe_tick(shared: &Shared) {
     }
 }
 
-/// Publishes the point-in-time CSR revision lag, which only exists as
-/// a method call on the app, so the sampler and the watchdog see it as
-/// an ordinary series. Runs only on due ticks.
+/// Publishes the point-in-time candidate-index revision lag, which only
+/// exists as a method call on the app, so the sampler and the watchdog
+/// see it as an ordinary series. Runs only on due ticks.
 fn refresh_derived_gauges(shared: &Shared) {
     let metrics = shared.telemetry.metrics();
     if let Some(stats) = shared.app.scan_stats() {
-        if let Some(csr) = stats.csr_revision {
-            let lag = shared.app.ratings_revision().saturating_sub(csr);
+        if let Some(index) = stats.index_revision {
+            let lag = shared.app.ratings_revision().saturating_sub(index);
             metrics.gauge("serve.ingest.revision_lag").set(lag as f64);
         }
     }
@@ -1060,8 +1060,6 @@ fn scan_body(app: &ExplainApp) -> Option<ScanStatsBody> {
                 elapsed_ns,
             })
             .collect(),
-        csr_revision: stats.csr_revision,
-        csr_builds: stats.csr_builds,
         index_builds: stats.index_builds,
         index: stats
             .index_shape
@@ -1072,12 +1070,11 @@ fn scan_body(app: &ExplainApp) -> Option<ScanStatsBody> {
         tiles_visited: stats.tiles_visited,
         candidates_scored: stats.candidates_scored,
         prune_ratio: stats.last_prune_ratio,
-        // The divergence the old block silently hid: how far the
-        // resident CSR trails the live matrix right now.
+        // How far the resident candidate index trails the live matrix
+        // right now; scans read the matrix itself.
         revision_lag: stats
-            .csr_revision
-            .map(|csr| matrix_revision.saturating_sub(csr)),
-        csr_patches: stats.csr_patches,
+            .index_revision
+            .map(|index| matrix_revision.saturating_sub(index)),
         index_patches: stats.index_patches,
         pending_deltas: stats.pending_deltas,
         patched_since_build: stats.patched_since_build,

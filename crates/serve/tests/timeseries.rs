@@ -398,7 +398,7 @@ fn mixed_traffic_keeps_statuses_exposition_and_debug_bodies_sound() {
 
     let world = get(addr, "/debug/world");
     let raw: serde_json::Value = serde_json::from_str(&world).unwrap();
-    for field in ["/scan/csr_patches", "/scan/index_patches"] {
+    for field in ["/scan/index_patches", "/scan/revision_lag"] {
         assert!(raw.pointer(field).is_some(), "/debug/world lacks {field}");
     }
     let world: DebugWorldBody = serde_json::from_str(&world).unwrap();
