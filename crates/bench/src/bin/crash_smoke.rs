@@ -22,8 +22,9 @@
 //!    JSON, a chunked body, conflicting `Content-Length`s, a signed
 //!    `Content-Length` and a header name with whitespace before its
 //!    colon, the last four each hiding a second request) must each get
-//!    one 400 and a close, after which `/healthz` answers, the bodies
-//!    are unchanged and SIGTERM still exits cleanly.
+//!    one 400 and a close, after which `/healthz` reads `ok` with no
+//!    incident ever opened (the real binary must not page itself), the
+//!    bodies are unchanged and SIGTERM still exits cleanly.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -351,9 +352,21 @@ fn main() {
     // process keeps serving the same world.
     eprintln!("[crash_smoke] life 3: hostile requests");
     refuse_hostile_requests(server.addr);
-    let status = request(server.addr, "GET", "/healthz", "").status;
-    if status != 200 {
-        fail(&format!("GET /healthz -> {status} after hostile requests"));
+    let health = request(server.addr, "GET", "/healthz", "");
+    if health.status != 200 {
+        fail(&format!(
+            "GET /healthz -> {} after hostile requests",
+            health.status
+        ));
+    }
+    let health: serde_json::Value = serde_json::from_str(&health.body)
+        .unwrap_or_else(|e| fail(&format!("GET /healthz body: {e}")));
+    let status = health.get("status").and_then(|v| v.as_str());
+    let opened = health.pointer("/incidents/opened").and_then(|v| v.as_u64());
+    if status != Some("ok") || opened != Some(0) {
+        fail(&format!(
+            "the server paged itself: /healthz status {status:?}, incidents opened {opened:?}"
+        ));
     }
     if post_ok(server.addr, "/v1/recommend", PROBE) != live {
         fail("recommendations changed after hostile requests");

@@ -16,15 +16,15 @@
 //!   atomically and inserted whole under its stripe's lock; readers
 //!   ([`FlightRecorder::snapshot`]) merge the stripes and sort by
 //!   sequence, so the dump is globally ordered.
-//! * **Auto-snapshot.** [`FlightRecorder::install_panic_hook`] chains
-//!   onto the process panic hook and dumps the ring to stderr; the
-//!   serving edge additionally dumps once per SLO fast-burn
-//!   degradation onset (see `exrec-serve`).
+//! * **Dumped once per incident.** The recorder dumps nothing by
+//!   itself: the watchdog ([`crate::watch::Watchdog`]) dumps the ring to
+//!   stderr once per incident it opens, whether a rule tripped or a
+//!   caught panic was logged as an event.
 
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -219,23 +219,12 @@ impl FlightRecorder {
     pub fn dump_stderr(&self, reason: &str) {
         self.dump(&mut std::io::stderr().lock(), reason);
     }
-
-    /// Chains a process panic hook that dumps this recorder to stderr
-    /// before the previous hook runs. Call once per process (the
-    /// `serve` binary does); every panic — including ones the edge
-    /// catches for worker isolation — triggers a dump.
-    pub fn install_panic_hook(recorder: &Arc<FlightRecorder>) {
-        let recorder = Arc::clone(recorder);
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            recorder.dump_stderr("panic");
-            previous(info);
-        }));
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn record_for(route: &str, status: u16) -> RequestRecord {

@@ -15,7 +15,7 @@
 //!   registered instrument, rendered by `repro` and the `telemetry`
 //!   example.
 //!
-//! On top of those, three request-centric layers:
+//! On top of those, the request-centric layers:
 //!
 //! * **tracing** — [`Telemetry::root_span`] starts a request trace
 //!   ([`trace::TraceContext`]: 128-bit trace id, span id, parent id);
@@ -25,11 +25,8 @@
 //! * **tail sampling** — [`trace::TailSamplingSubscriber`] buffers
 //!   in-flight traces in a bounded lock-striped ring and flushes only
 //!   the slow, errored, or head-sampled ones to the inner subscriber;
-//! * **SLOs** — [`slo::SloMonitor`] tracks per-route good/total ratios
-//!   and error-budget burn rate over a rolling window of time buckets,
-//!   advanced on record with no background thread; and
-//!   [`promtext::render`] exposes the whole registry as Prometheus text
-//!   exposition 0.0.4;
+//! * **exposition** — [`promtext::render`] exposes the whole registry
+//!   as Prometheus text exposition 0.0.4;
 //! * **phase profiling** — [`profile::Profiler`] is an always-on
 //!   cooperative profiler: scoped RAII [`profile::phase`] guards nest
 //!   into a per-route tree with atomic self-time/call-count
@@ -38,19 +35,20 @@
 //! * **flight recording** — [`flight::FlightRecorder`] is the black
 //!   box: a bounded lock-striped ring of the last N completed request
 //!   records, retained regardless of tail-sampling decisions and
-//!   dumped to stderr on panic or SLO fast-burn degradation;
+//!   dumped to stderr once per watchdog incident;
 //! * **time series** — [`timeseries::TimeSeries`] periodically
 //!   snapshots the whole registry into bounded per-series rings:
 //!   counters become per-interval rates, histograms become
 //!   windowed-delta percentiles (bucket subtraction between
 //!   consecutive snapshots), driven cooperatively with no sampler
 //!   thread;
-//! * **watchdog** — [`watch::Watchdog`] runs EWMA/z-score and
-//!   absolute-threshold detectors over selected series with hysteresis
-//!   latches, appending structured [`watch::Incident`] entries to a
-//!   bounded incident log and firing the flight dump once per incident
-//!   — the unified trigger path for panics, SLO fast-burn and
-//!   sustained-low quality.
+//! * **watchdog** — [`watch::Watchdog`] runs EWMA/z-score,
+//!   absolute-threshold and error-budget burn detectors over selected
+//!   series with hysteresis latches, appending structured
+//!   [`watch::Incident`] entries to a bounded incident log and firing
+//!   the flight dump once per incident. SLO fast burn and
+//!   sustained-low quality are rules like any other; a caught panic is
+//!   the one point event.
 //!
 //! The metric taxonomy (`algo.*`, `explain.*`, `eval.*`, `serve.*`,
 //! `trace.*`, `slo.*`, `ts.*`, `watch.*`) and its mapping onto the
@@ -80,7 +78,6 @@ pub mod metrics;
 pub mod profile;
 pub mod promtext;
 pub mod quality;
-pub mod slo;
 pub mod span;
 pub mod timeseries;
 pub mod trace;
@@ -93,7 +90,6 @@ pub use metrics::{
 };
 pub use profile::{PhaseCollector, PhaseSnapshot, ProfileReport, Profiler};
 pub use quality::{QualityMonitor, QualitySample, QualitySnapshot};
-pub use slo::{RouteStatus, SloConfig, SloMonitor};
 pub use span::{
     CountingSubscriber, JsonLinesSubscriber, NoopSubscriber, SpanEvent, Subscriber, Telemetry,
 };

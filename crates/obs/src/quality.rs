@@ -16,15 +16,11 @@
 //!   exported as gauges, score distributions as milli-unit histograms,
 //!   all through the existing [`Metrics`](crate::Metrics) registry and
 //!   Prometheus exposition.
-//! * **Sustained-drop detection** — a consecutive-low-sample streak,
-//!   mirroring the SLO fast-burn latch: the serving edge dumps the
-//!   flight recorder once per drop onset so the low-quality requests
-//!   carry their trace ids and phase profiles out of the ring. Like the
-//!   watchdog's `Below` floors, the streak arms only after healthy
-//!   samples: a drop needs something to drop from, so an interface
-//!   that scores under the threshold from its first sample never
-//!   latches. The arming is monitor-wide and never cleared: healthy
-//!   samples of any interface arm the streak for all of them.
+//!
+//! The monitor keeps no alarm of its own. The serving edge judges each
+//! interface's `quality.score.<interface>` gauge with a watchdog
+//! [`Below`](crate::watch::Detector::Below) rule at `low_threshold`,
+//! which arms only on that interface's own healthy ticks.
 //!
 //! The monitor never computes explanation quality itself — the edge
 //! measures (via `exrec-core`'s probes) and feeds scalars in. That
@@ -48,12 +44,9 @@ pub struct QualityConfig {
     pub seed: u64,
     /// Rolling-window length (samples) for the exported means.
     pub window: usize,
-    /// Scores below this count as low-quality.
+    /// Scores below this count as low-quality; the serving edge's
+    /// per-interface quality rules use it as their floor.
     pub low_threshold: f64,
-    /// Consecutive low samples before the drop counts as sustained;
-    /// the streak arms once this many consecutive samples have scored
-    /// at or above `low_threshold`.
-    pub sustain: usize,
 }
 
 impl Default for QualityConfig {
@@ -63,7 +56,6 @@ impl Default for QualityConfig {
             seed: 0x51,
             window: 128,
             low_threshold: 0.25,
-            sustain: 8,
         }
     }
 }
@@ -142,15 +134,6 @@ struct State {
     interfaces: BTreeMap<String, ScopeStat>,
     aims: BTreeMap<String, Rolling>,
     low_streak: u64,
-    high_streak: u64,
-    /// Set once `high_streak` reaches `sustain`; never cleared.
-    armed: bool,
-}
-
-impl State {
-    fn sustained_low(&self, config: &QualityConfig) -> bool {
-        self.armed && self.low_streak >= config.sustain as u64
-    }
 }
 
 /// The live quality estimator: deterministic sampler + rolling stats +
@@ -176,8 +159,6 @@ impl QualityMonitor {
                 interfaces: BTreeMap::new(),
                 aims: BTreeMap::new(),
                 low_streak: 0,
-                high_streak: 0,
-                armed: false,
             }),
             config,
         }
@@ -204,11 +185,9 @@ impl QualityMonitor {
         }
     }
 
-    /// Folds one sampled measurement in: updates rolling stats,
-    /// exports the `quality.*` metric family, and returns whether an
-    /// armed low-quality streak has reached the sustained threshold —
-    /// the edge's cue to latch a flight-recorder dump.
-    pub fn observe(&self, sample: &QualitySample<'_>) -> bool {
+    /// Folds one sampled measurement in: updates rolling stats and
+    /// exports the `quality.*` metric family.
+    pub fn observe(&self, sample: &QualitySample<'_>) {
         let metrics = self.telemetry.metrics();
         metrics.counter("quality.samples").incr();
         metrics
@@ -268,31 +247,9 @@ impl QualityMonitor {
         if sample.score < self.config.low_threshold {
             metrics.counter("quality.low").incr();
             state.low_streak += 1;
-            state.high_streak = 0;
         } else {
             state.low_streak = 0;
-            state.high_streak += 1;
-            state.armed |= state.high_streak >= self.config.sustain as u64;
         }
-        state.sustained_low(&self.config)
-    }
-
-    /// Total measurements folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .overall
-            .samples
-    }
-
-    /// Whether the current low-quality streak has reached the
-    /// sustained threshold after the streak armed.
-    pub fn sustained_low(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .sustained_low(&self.config)
     }
 
     /// A serializable snapshot for the `/debug/quality` surface.
@@ -303,7 +260,7 @@ impl QualityMonitor {
             sample_every: self.config.sample_every,
             low_threshold: self.config.low_threshold,
             low_streak: state.low_streak,
-            sustained_low: state.sustained_low(&self.config),
+            sustained_low: false,
             mean_score: state.overall.score.mean(),
             mean_fidelity: state.overall.fidelity.mean(),
             interfaces: state
@@ -369,9 +326,11 @@ pub struct QualitySnapshot {
     pub sample_every: u64,
     /// Configured low-quality threshold.
     pub low_threshold: f64,
-    /// Current consecutive-low-sample streak.
+    /// Current consecutive-low-sample streak, across interfaces.
     pub low_streak: u64,
-    /// Whether the streak has reached the sustained threshold.
+    /// Whether a `quality_sustained_low.<interface>` watchdog incident
+    /// stands. The monitor keeps no alarm and always leaves it false;
+    /// the serving edge, which owns the watchdog, fills it in.
     pub sustained_low: bool,
     /// Rolling mean scalar score across all samples.
     pub mean_score: f64,
@@ -447,42 +406,11 @@ mod tests {
         assert!((overall - 0.6).abs() < 1e-9, "overall mean: {overall}");
         assert!((report.gauges["quality.aim.trust"] - 0.6).abs() < 1e-9);
         assert_eq!(report.histograms["quality.score_milli"].count, 3);
-    }
-
-    #[test]
-    fn sustained_low_streak_latches_and_recovers() {
-        let obs = Telemetry::default();
-        let monitor = QualityMonitor::new(
-            obs.clone(),
-            QualityConfig {
-                low_threshold: 0.5,
-                sustain: 3,
-                ..QualityConfig::default()
-            },
-        );
-        // A stream that starts low has nothing to drop from: two healthy
-        // samples are one short of arming, so no low run latches.
-        for score in [0.1, 0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1] {
-            assert!(!monitor.observe(&sample("histogram", score)));
-        }
-        assert_eq!(monitor.snapshot().low_streak, 4);
-        assert!(!monitor.sustained_low());
-        // Three healthy samples in a row arm the streak.
-        for _ in 0..3 {
-            assert!(!monitor.observe(&sample("histogram", 0.9)));
-        }
-        assert!(!monitor.observe(&sample("histogram", 0.1)));
-        assert!(!monitor.observe(&sample("histogram", 0.1)));
-        assert!(monitor.observe(&sample("histogram", 0.1)), "third low hits");
-        assert!(monitor.sustained_low());
-        assert!(!monitor.observe(&sample("histogram", 0.9)), "recovery");
-        assert!(!monitor.sustained_low());
-        // Still armed: the next sustained drop latches again.
-        for _ in 0..2 {
-            assert!(!monitor.observe(&sample("histogram", 0.1)));
-        }
-        assert!(monitor.observe(&sample("histogram", 0.1)));
-        assert_eq!(obs.report().counters["quality.low"], 14);
+        // Scores under the threshold count as low and extend the streak.
+        monitor.observe(&sample("item_average", 0.1));
+        monitor.observe(&sample("item_average", 0.1));
+        assert_eq!(monitor.snapshot().low_streak, 2);
+        assert_eq!(obs.report().counters["quality.low"], 2);
     }
 
     #[test]

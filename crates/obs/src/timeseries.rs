@@ -243,11 +243,6 @@ impl TimeSeries {
         }
     }
 
-    /// The engine's tuning.
-    pub fn config(&self) -> &TsConfig {
-        &self.config
-    }
-
     /// Whether a tick is due — one relaxed load, no allocation. Lets
     /// callers skip pre-tick work (derived-gauge refreshes) cheaply.
     pub fn due(&self) -> bool {
@@ -368,6 +363,29 @@ impl TimeSeries {
         metrics.counter("ts.ticks").incr();
         metrics.gauge("ts.series").set(series as f64);
         tick
+    }
+
+    /// Counter `name`'s deltas or histogram `name`'s sample counts as
+    /// `(newest tick, span)`: in the newest tick, and summed over the
+    /// ticks of the last `span_ns` counted back from it. `None` until a
+    /// tick has seen the series; the ring's retention bounds the span.
+    pub fn totals(&self, name: &str, span_ns: u64) -> Option<(u64, u64)> {
+        let state = lock!(self.state.lock());
+        let newest = state.last_offset_ns? / self.config.interval_ns;
+        let ticks = (span_ns / self.config.interval_ns).max(1);
+        let add = |(tick, span): (u64, u64), (epoch, n): (u64, u64)| {
+            let age = newest.saturating_sub(epoch);
+            (
+                tick + n * u64::from(age == 0),
+                span + n * u64::from(age < ticks),
+            )
+        };
+        if let Some(ring) = state.counters.get(name) {
+            let deltas = ring.points.iter().map(|p| (p.epoch, p.delta));
+            return Some(deltas.fold((0, 0), add));
+        }
+        let counts = state.histograms.get(name)?.points.iter();
+        Some(counts.map(|p| (p.epoch, p.count)).fold((0, 0), add))
     }
 
     /// Dumps every retained series.
@@ -499,6 +517,27 @@ mod tests {
         assert!(tick.value("h", Stat::P99).unwrap() >= 1000.0);
         assert!(tick.value("h", Stat::Rate).is_some());
         assert_eq!(tick.value("missing", Stat::Value), None);
+    }
+
+    #[test]
+    fn totals_drop_ticks_older_than_the_span() {
+        const SEC: u64 = 1_000_000_000;
+        let m = Metrics::new();
+        let ts = engine(5 * SEC, 64);
+        assert_eq!(ts.totals("bad", 60 * SEC), None);
+        // A tick every 5s for 70s; tick k adds k to the counter and one
+        // sample to the histogram.
+        for k in 1..=14u64 {
+            m.counter("bad").add(k);
+            m.histogram("lat").record_ns(1_000);
+            ts.sample_at(&m, k * 5 * SEC);
+        }
+        // From the newest tick at 70s, the 60s window holds the ticks
+        // at 15s..=70s; the tick at 10s is 60s old and has left it.
+        assert_eq!(ts.totals("bad", 60 * SEC), Some((14, (3..=14).sum())));
+        assert_eq!(ts.totals("lat", 60 * SEC), Some((1, 12)));
+        assert_eq!(ts.totals("bad", 5 * SEC), Some((14, 14)));
+        assert_eq!(ts.totals("missing", 60 * SEC), None);
     }
 
     #[test]

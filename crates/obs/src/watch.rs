@@ -2,26 +2,23 @@
 //! latches, and a bounded incident log unifying every flight-dump
 //! trigger.
 //!
-//! The serving edge used to carry three ad-hoc "dump the black box"
-//! triggers — a panic hook, an SLO fast-burn latch, and a sustained-low
-//! quality latch — each its own `AtomicBool` with its own once-only
-//! logic. [`Watchdog`] replaces them with one path: **rules** evaluate
-//! a [`Detector`] against each [`Tick`] the time-series engine cuts,
-//! **hysteresis** keeps a rule from flapping (an incident opens only
-//! after `trip_after` consecutive anomalous ticks and closes only after
+//! Every standing incident is a **rule**: a [`Detector`] evaluated
+//! against each [`Tick`] the time-series engine cuts. **Hysteresis**
+//! keeps a rule from flapping (an incident opens only after
+//! `trip_after` consecutive anomalous ticks and closes only after
 //! `clear_after` consecutive normal ones), and every opening appends a
 //! structured [`Incident`] to a bounded [`IncidentLog`] and fires the
 //! flight-recorder dump **once per incident** (latched — a regression
 //! that stays bad across fifty ticks produces one incident and one
-//! dump, not fifty).
+//! dump, not fifty). SLO fast burn is a [`Detector::Burn`] rule per
+//! route and sustained-low explanation quality a [`Detector::Below`]
+//! rule per interface, so neither keeps state of its own.
 //!
-//! Signals that already latch elsewhere (SLO fast-burn, sustained-low
-//! quality) enter through [`Watchdog::external`], which edge-detects a
-//! boolean standing; point events with no duration (a caught panic)
-//! enter through [`Watchdog::event`]. All three paths converge on the
-//! same log, the same metrics (`watch.*`), and the same dump budget.
+//! The one other way into the log is a point event with no duration (a
+//! caught panic) through [`Watchdog::event`]. Both paths converge on
+//! the same log, the same metrics (`watch.*`), and the same dump
+//! budget.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -34,6 +31,38 @@ use crate::trace;
 
 /// Wire-schema version of the incident dump; bump on breaking changes.
 pub const WATCH_SCHEMA: u32 = 1;
+
+/// Burn rate at or above which one tick of a route is anomalous: the
+/// error budget spent six times as fast as the target allows.
+pub const FAST_BURN: f64 = 6.0;
+
+/// Requests a route must serve in one tick before its burn can be
+/// anomalous, so one slow request on an idle route cannot page.
+pub const BURN_MIN_REQUESTS: u64 = 10;
+
+/// Span of ticks an SLO standing (good, total, burn) is read over.
+pub const SLO_WINDOW_NS: u64 = 60_000_000_000;
+
+/// Error-budget burn rate of `bad` out of `total` requests against a
+/// `target` good ratio: `(bad / total) / (1 - target)`. Burn 1 spends
+/// exactly the budget; an empty window burns nothing.
+pub fn burn_rate(bad: u64, total: u64, target: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let budget = (1.0 - target).max(f64::EPSILON);
+    (bad.min(total) as f64 / total as f64) / budget
+}
+
+/// The burn a [`Detector::Burn`] rule judges for one tick: the
+/// [`burn_rate`] of the tick's requests, or 0 when the route served
+/// fewer than [`BURN_MIN_REQUESTS`] of them.
+pub fn tick_burn(bad: u64, total: u64, target: f64) -> f64 {
+    if total < BURN_MIN_REQUESTS {
+        return 0.0;
+    }
+    burn_rate(bad, total, target)
+}
 
 /// How a rule decides a tick is anomalous.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,6 +95,18 @@ pub enum Detector {
         /// detector may trip.
         min_samples: u64,
     },
+    /// Error-budget burn of one route in one tick. The rule's series is
+    /// the route's latency histogram, read with [`Stat::Count`] as the
+    /// tick's requests; `bad` names the counter of its bad requests.
+    /// Anomalous when the route served at least [`BURN_MIN_REQUESTS`]
+    /// requests and [`burn_rate`] is at least [`FAST_BURN`]; a quieter
+    /// tick reads healthy.
+    Burn {
+        /// Counter of the route's bad requests.
+        bad: String,
+        /// Target good ratio; `1 - target` is the error budget.
+        target: f64,
+    },
 }
 
 impl Detector {
@@ -75,6 +116,7 @@ impl Detector {
             Detector::ZScore { .. } => "zscore",
             Detector::Above { .. } => "above",
             Detector::Below { .. } => "below",
+            Detector::Burn { .. } => "burn",
         }
     }
 }
@@ -90,6 +132,33 @@ pub struct Rule {
     pub stat: Stat,
     /// The anomaly test.
     pub detector: Detector,
+    /// Counter that must move in a tick for the tick to count. A tick
+    /// in which it did not is no evidence either way: the rule's
+    /// warm-up, streaks and latch stay as they were. This keeps a
+    /// gauge that holds its last value between samples from arming or
+    /// clearing on idle ticks. `None` judges every tick.
+    pub evidence: Option<String>,
+}
+
+/// The delta of counter `name` in `tick`, 0 while it is absent.
+fn delta(tick: &Tick, name: &str) -> u64 {
+    tick.counters.get(name).map_or(0, |p| p.delta)
+}
+
+impl Rule {
+    /// The value the detector judges in `tick`; `None` while the series
+    /// is absent or the tick holds no evidence. A burn rule reads its
+    /// route's [`tick_burn`].
+    fn read(&self, tick: &Tick) -> Option<f64> {
+        if self.evidence.as_ref().is_some_and(|c| delta(tick, c) == 0) {
+            return None;
+        }
+        let value = tick.value(&self.metric, self.stat)?;
+        let Detector::Burn { bad, target } = &self.detector else {
+            return Some(value);
+        };
+        Some(tick_burn(delta(tick, bad), value as u64, *target))
+    }
 }
 
 /// Hysteresis + log tuning.
@@ -121,14 +190,13 @@ impl Default for WatchConfig {
 pub struct Incident {
     /// Monotonic sequence number (1-based) over the process lifetime.
     pub seq: u64,
-    /// Rule (or external trigger / event) name.
+    /// Rule (or event) name.
     pub rule: String,
-    /// Series the rule watched; empty for externals/events.
+    /// Series the rule watched; empty for events.
     pub series: String,
-    /// Detector kind: `zscore`/`above`/`below`/`external`/`event`.
+    /// Detector kind: `zscore`/`above`/`below`/`burn`/`event`.
     pub kind: String,
-    /// Tick epoch at open (0 for externals/events, which are not
-    /// epoch-aligned).
+    /// Tick epoch at open (0 for events, which are not epoch-aligned).
     pub opened_epoch: u64,
     /// Process-relative offset at open, nanoseconds.
     pub opened_offset_ns: u64,
@@ -151,13 +219,6 @@ struct RuleState {
     anomalous_streak: u32,
     normal_streak: u32,
     latched: bool,
-    open_seq: u64,
-}
-
-/// Latch state for one external boolean standing.
-#[derive(Debug, Clone, Default)]
-struct ExternalState {
-    active: bool,
     open_seq: u64,
 }
 
@@ -204,7 +265,6 @@ impl IncidentLog {
 #[derive(Debug, Default)]
 struct WatchState {
     rules: Vec<RuleState>,
-    externals: BTreeMap<String, ExternalState>,
     log: IncidentLog,
 }
 
@@ -259,8 +319,8 @@ impl Watchdog {
         }
     }
 
-    /// Wires the unified dump path: every incident opening (rule trip,
-    /// external rising edge, or event) dumps the flight ring once.
+    /// Wires the unified dump path: every incident opening (rule trip
+    /// or event) dumps the flight ring once.
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
@@ -281,11 +341,6 @@ impl Watchdog {
         self
     }
 
-    /// The configured rules, for documentation surfaces.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     /// Runs every rule against one tick. Returns the sequence numbers
     /// of incidents that opened on this tick (usually empty).
     pub fn observe(&self, tick: &Tick) -> Vec<u64> {
@@ -294,8 +349,8 @@ impl Watchdog {
         {
             let mut state = lock!(self.state.lock());
             for (i, rule) in self.rules.iter().enumerate() {
-                let Some(value) = tick.value(&rule.metric, rule.stat) else {
-                    continue; // series not yet registered
+                let Some(value) = rule.read(tick) else {
+                    continue; // series not yet registered, or no evidence
                 };
                 if !value.is_finite() {
                     continue;
@@ -315,9 +370,12 @@ impl Watchdog {
                 if !rs.latched && rs.anomalous_streak >= self.config.trip_after {
                     rs.latched = true;
                     let streak = rs.anomalous_streak;
+                    let series = match &rule.detector {
+                        Detector::Burn { bad, .. } => format!("burn of {bad} in {}", rule.metric),
+                        _ => format!("{}:{:?}", rule.metric, rule.stat),
+                    };
                     let detail = format!(
-                        "{}:{:?} = {value:.3} crossed {threshold:.3} for {streak} consecutive ticks",
-                        rule.metric, rule.stat
+                        "{series} = {value:.3} crossed {threshold:.3} for {streak} consecutive ticks"
                     );
                     let seq = state.log.open(
                         self.config.log_capacity,
@@ -358,6 +416,7 @@ impl Watchdog {
     ) -> (bool, f64) {
         match detector {
             Detector::Above { max } => (value > *max, *max),
+            Detector::Burn { .. } => (value >= FAST_BURN, FAST_BURN),
             Detector::Below { min, min_samples } => {
                 // Only healthy observations arm the rule; see the
                 // detector docs for why idle-at-zero must not count.
@@ -394,49 +453,6 @@ impl Watchdog {
                 (anomalous, *factor)
             }
         }
-    }
-
-    /// Edge-detects an external boolean standing (an already-latched
-    /// signal like SLO fast-burn): a rising edge opens an incident and
-    /// dumps once; a falling edge closes it. Returns the incident seq
-    /// when this call opened one.
-    pub fn external(&self, name: &str, active: bool, detail: &str) -> Option<u64> {
-        let mut opened = None;
-        let mut dump_reason = None;
-        {
-            let mut state = lock!(self.state.lock());
-            let current = state.externals.entry(name.to_owned()).or_default().clone();
-            if active && !current.active {
-                let seq = state.log.open(
-                    self.config.log_capacity,
-                    Incident {
-                        seq: 0,
-                        rule: name.to_owned(),
-                        series: String::new(),
-                        kind: "external".to_owned(),
-                        opened_epoch: 0,
-                        opened_offset_ns: trace::process_offset_ns(),
-                        closed_epoch: None,
-                        value: 1.0,
-                        threshold: 0.0,
-                        detail: detail.to_owned(),
-                    },
-                );
-                let ext = state.externals.get_mut(name).expect("just inserted");
-                ext.active = true;
-                ext.open_seq = seq;
-                opened = Some(seq);
-                dump_reason = Some(format!("watchdog: {name}"));
-            } else if !active && current.active {
-                let seq = current.open_seq;
-                if let Some(ext) = state.externals.get_mut(name) {
-                    ext.active = false;
-                }
-                state.log.close(seq, 0);
-            }
-        }
-        self.publish(dump_reason.as_slice());
-        opened
     }
 
     /// Records a point event (a caught panic): the incident opens and
@@ -499,22 +515,20 @@ impl Watchdog {
         }
     }
 
-    /// Whether the named external standing is currently active —
-    /// cheap enough to guard a per-request edge check.
-    pub fn external_active(&self, name: &str) -> bool {
-        lock!(self.state.lock())
-            .externals
-            .get(name)
-            .is_some_and(|e| e.active)
+    /// Number of incidents currently standing.
+    pub fn active(&self) -> u64 {
+        self.standing().len() as u64
     }
 
-    /// Number of incidents currently standing (latched rules + active
-    /// externals).
-    pub fn active(&self) -> u64 {
+    /// Names of the rules whose incident currently stands.
+    pub fn standing(&self) -> Vec<&str> {
         let state = lock!(self.state.lock());
-        let rules = state.rules.iter().filter(|r| r.latched).count();
-        let externals = state.externals.values().filter(|e| e.active).count();
-        (rules + externals) as u64
+        self.rules
+            .iter()
+            .zip(&state.rules)
+            .filter(|(_, rs)| rs.latched)
+            .map(|(rule, _)| rule.name.as_str())
+            .collect()
     }
 
     /// Total incidents opened over the process lifetime.
@@ -560,6 +574,7 @@ mod tests {
             metric: "g".to_owned(),
             stat: Stat::Value,
             detector: Detector::Above { max: 10.0 },
+            evidence: None,
         }
     }
 
@@ -636,6 +651,7 @@ mod tests {
                     factor: 4.0,
                     min_samples: 8,
                 },
+                evidence: None,
             }],
         );
         // Steady mild noise around 100: never trips.
@@ -669,6 +685,7 @@ mod tests {
                     min: 0.5,
                     min_samples: 3,
                 },
+                evidence: None,
             }],
         );
         // A series that idles at 0 forever never arms the rule: an
@@ -689,20 +706,131 @@ mod tests {
     }
 
     #[test]
-    fn external_edges_open_and_close_one_incident() {
-        let w = Watchdog::new(WatchConfig::default(), Vec::new());
-        assert!(w.external("slo_fast_burn", false, "").is_none());
-        let seq = w.external("slo_fast_burn", true, "burn 14.2 on explain");
-        assert!(seq.is_some());
-        // Standing high: no re-trigger, dump budget stays at 1.
-        assert!(w.external("slo_fast_burn", true, "still burning").is_none());
-        assert_eq!((w.opened(), w.active(), w.flight_dumps()), (1, 1, 1));
-        w.external("slo_fast_burn", false, "");
+    fn ticks_without_evidence_neither_arm_nor_clear() {
+        // A rolling score that holds between samples, gated on its
+        // sample counter.
+        let mut rule = above_rule();
+        rule.detector = Detector::Below {
+            min: 0.5,
+            min_samples: 3,
+        };
+        rule.evidence = Some("samples".to_owned());
+        let w = hair_trigger(vec![rule]);
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        let mut epoch = 0;
+        let mut tick = |score: Option<f64>| {
+            if let Some(score) = score {
+                m.counter("samples").incr();
+                m.gauge("g").set(score);
+            }
+            epoch += 1;
+            w.observe(&ts.sample_at(&m, epoch * SEC));
+            (w.opened(), w.active())
+        };
+        // One healthy sample held over ten idle ticks is one healthy
+        // tick, so the low sample after it cannot trip.
+        tick(Some(0.8));
+        (0..10).for_each(|_| assert_eq!(tick(None), (0, 0)));
+        assert_eq!(tick(Some(0.1)), (0, 0), "idle ticks armed the rule");
+        // Two more healthy samples arm it and a low one trips. Idle
+        // ticks holding the low score do not clear it; a healthy
+        // sample does.
+        tick(Some(0.8));
+        tick(Some(0.8));
+        assert_eq!(tick(Some(0.1)), (1, 1));
+        (0..5).for_each(|_| assert_eq!(tick(None), (1, 1)));
+        assert_eq!(tick(Some(0.8)), (1, 0));
+    }
+
+    /// A burn rule at target 0.9 over histogram `lat.<route>` and
+    /// counter `bad.<route>`.
+    fn burn_rule(route: &str) -> Rule {
+        Rule {
+            name: format!("slo_fast_burn.{route}"),
+            metric: format!("lat.{route}"),
+            stat: Stat::Count,
+            detector: Detector::Burn {
+                bad: format!("bad.{route}"),
+                target: 0.9,
+            },
+            evidence: None,
+        }
+    }
+
+    /// Records `good` and `bad` requests on `route`.
+    fn serve(m: &Metrics, route: &str, good: u64, bad: u64) {
+        let latency = m.histogram(&format!("lat.{route}"));
+        for _ in 0..good + bad {
+            latency.record_ns(1_000);
+        }
+        m.counter(&format!("bad.{route}")).add(bad);
+    }
+
+    /// A watchdog that opens on one anomalous tick and closes on one
+    /// normal one.
+    fn hair_trigger(rules: Vec<Rule>) -> Watchdog {
+        let config = WatchConfig {
+            trip_after: 1,
+            clear_after: 1,
+            ..WatchConfig::default()
+        };
+        Watchdog::new(config, rules)
+    }
+
+    const SEC: u64 = 1_000_000_000;
+
+    #[test]
+    fn burn_rate_measures_budget_spend() {
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        // 8 good, 2 bad → (2 / 10) / (1 - 0.9) = 2: hot, but under 6.
+        serve(&m, "r", 8, 2);
+        let tick = ts.sample_at(&m, SEC);
+        let burn = burn_rule("r").read(&tick).unwrap();
+        assert!((burn - 2.0).abs() < 1e-9, "burn {burn}");
+        let w = hair_trigger(vec![burn_rule("r")]);
+        w.observe(&tick);
+        assert_eq!(w.opened(), 0);
+        // Every request bad at target 0 burns 1: never a trip.
+        assert_eq!(burn_rate(10, 10, 0.0), 1.0);
+        assert_eq!(burn_rate(0, 0, 0.99), 0.0);
+    }
+
+    #[test]
+    fn burn_rule_reads_an_empty_tick_as_healthy() {
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        let w = hair_trigger(vec![burn_rule("r")]);
+        assert_eq!(burn_rule("r").read(&ts.sample_at(&m, SEC)), None);
+        serve(&m, "r", 0, 10);
+        w.observe(&ts.sample_at(&m, 2 * SEC));
+        assert_eq!((w.opened(), w.active()), (1, 1));
+        assert_eq!(w.incidents()[0].kind, "burn");
+        // No traffic in the next tick: healthy, so the incident closes.
+        let quiet = ts.sample_at(&m, 3 * SEC);
+        assert_eq!(burn_rule("r").read(&quiet), Some(0.0));
+        w.observe(&quiet);
         assert_eq!(w.active(), 0);
-        assert_eq!(w.incidents()[0].closed_epoch, Some(0));
-        // Rising edge again: a second incident.
-        w.external("slo_fast_burn", true, "again");
-        assert_eq!(w.opened(), 2);
+    }
+
+    #[test]
+    fn burn_rule_waits_for_ten_requests_in_a_tick() {
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        let w = hair_trigger(vec![burn_rule("r")]);
+        serve(&m, "r", 0, BURN_MIN_REQUESTS - 1);
+        w.observe(&ts.sample_at(&m, SEC));
+        assert_eq!(w.opened(), 0, "nine bad requests burn hot but are too few");
+        serve(&m, "r", 0, BURN_MIN_REQUESTS);
+        w.observe(&ts.sample_at(&m, 2 * SEC));
+        assert_eq!(w.opened(), 1);
+    }
+
+    #[test]
+    fn burn_rules_are_per_route() {
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        let w = hair_trigger(vec![burn_rule("hot"), burn_rule("cold")]);
+        serve(&m, "hot", 0, 10);
+        serve(&m, "cold", 10, 0);
+        w.observe(&ts.sample_at(&m, SEC));
+        assert_eq!(w.standing(), vec!["slo_fast_burn.hot"]);
     }
 
     #[test]

@@ -16,19 +16,19 @@
 //!       [--trace-slow-ms T]   tail-sample traces slower than T ms (default 500)
 //!       [--trace-sample N]    also head-sample 1/N of all traces (default 0 = off)
 //!       [--trace-seed S]      seed the trace id stream (deterministic ids)
-//!       [--slo-ms L]          per-request latency objective (default 250)
-//!       [--slo-target F]      target good ratio over the window (default 0.99)
-//!       [--debug-endpoints]   serve GET /debug/{profile,requests,world,quality}
+//!       [--slo-ms L]          latency objective of the SLO burn rules (default 250)
+//!       [--slo-target F]      target good ratio of the burn rules (default 0.99)
+//!       [--debug-endpoints]   serve GET /debug/{profile,requests,world,quality,
+//!                             ingest,timeseries,incidents}
 //!       [--flight-capacity N] flight-recorder ring size (default 256)
-//!       [--ts-interval DUR]   time-series sampling interval (default 5s;
-//!                             accepts e.g. 250ms, 1s, 2m)
+//!       [--ts-interval DUR]   time-series sampling interval and SLO fast-burn
+//!                             window (default 5s; accepts e.g. 250ms, 1s, 2m)
 //!       [--ts-retention N]    points retained per series (default 120)
 //!       [--watch-trip N]      anomalous ticks before an incident opens (default 2)
 //!       [--watch-clear N]     normal ticks before an incident closes (default 3)
 //!       [--watch-latency-zscore F]  p99 drift sensitivity (default 6.0)
 //!       [--watch-error-rate F]      5xx-per-second ceiling (default 1.0)
 //!       [--watch-shed-rate F]       sheds-per-second ceiling (default 100.0)
-//!       [--watch-quality-min F]     live fidelity floor (default 0.15)
 //!       [--watch-incidents N]       incident-log capacity (default 64)
 //!       [--quality-sample N]  quality-sample 1-in-N explain requests (default 8; 0 = off)
 //!       [--quality-pairs N]   startup scoring pairs per interface (default 16)
@@ -41,7 +41,8 @@
 //! line, correlated by `trace_id`). Runs until SIGTERM or ctrl-c
 //! (SIGINT), then drains gracefully: stops admitting, finishes queued
 //! and in-flight requests, closes the listener, and prints the final
-//! telemetry report and per-route SLO standing to stderr.
+//! telemetry report and per-route SLO standing over the last minute of
+//! sampler ticks to stderr.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -94,8 +95,7 @@ fn usage() -> ! {
     eprintln!("             [--wal-path PATH] [--fsync]");
     eprintln!("             [--ts-interval DUR] [--ts-retention N]");
     eprintln!("             [--watch-trip N] [--watch-clear N] [--watch-latency-zscore F]");
-    eprintln!("             [--watch-error-rate F] [--watch-shed-rate F]");
-    eprintln!("             [--watch-quality-min F] [--watch-incidents N]");
+    eprintln!("             [--watch-error-rate F] [--watch-shed-rate F] [--watch-incidents N]");
     std::process::exit(2);
 }
 
@@ -161,9 +161,9 @@ fn main() {
             "--trace-seed" => server_config.trace_seed = Some(parse("--trace-seed", args.next())),
             "--slo-ms" => {
                 let ms: u64 = parse("--slo-ms", args.next());
-                server_config.slo.objective_ns = ms.saturating_mul(1_000_000);
+                server_config.watch.slo_objective_ns = ms.saturating_mul(1_000_000);
             }
-            "--slo-target" => server_config.slo.target = parse("--slo-target", args.next()),
+            "--slo-target" => server_config.watch.slo_target = parse("--slo-target", args.next()),
             "--workers" => server_config.workers = parse("--workers", args.next()),
             "--queue-bound" => server_config.queue_bound = parse("--queue-bound", args.next()),
             "--deadline-ms" => {
@@ -218,9 +218,6 @@ fn main() {
             }
             "--watch-shed-rate" => {
                 server_config.watch.shed_rate_max = parse("--watch-shed-rate", args.next())
-            }
-            "--watch-quality-min" => {
-                server_config.watch.quality_min = parse("--watch-quality-min", args.next())
             }
             "--watch-incidents" => {
                 server_config.watch.incident_capacity = parse("--watch-incidents", args.next())
@@ -327,7 +324,7 @@ fn main() {
     eprintln!("[serve] drained; final telemetry:");
     eprintln!("{}", telemetry.report().render_ascii());
     if !slo.is_empty() {
-        eprintln!("== slo (rolling window at drain) ==");
+        eprintln!("== slo (last minute of ticks at drain) ==");
         for (route, s) in &slo {
             eprintln!(
                 "  {route:<24} good {}/{} ratio {:.4} burn {:.2} fast-burn {:.2}{}",

@@ -187,15 +187,15 @@ pub struct HealthResponse {
     pub busy_workers: usize,
     /// `busy_workers / workers` in `[0, 1]`.
     pub worker_saturation: f64,
-    /// Rolling-window SLO standing per route (absent routes have not
-    /// served yet).
+    /// SLO standing per route over the last minute of sampler ticks
+    /// (absent routes have not been sampled yet).
     pub slo: std::collections::BTreeMap<String, SloRouteBody>,
     /// Live explanation-quality standing; `None` when deserializing
     /// pre-quality payloads (the server always sends it).
     pub quality: Option<QualityStandingBody>,
-    /// Watchdog incident standing; any active incident contributes to
-    /// `"degraded"`. `None` only when deserializing pre-watchdog
-    /// payloads (the server always sends it).
+    /// Watchdog incident standing; `status` is `"degraded"` exactly
+    /// while an incident stands. `None` only when deserializing
+    /// pre-watchdog payloads (the server always sends it).
     #[serde(default)]
     pub incidents: Option<IncidentStandingBody>,
     /// Build/run identity, correlatable with benchmark-report `meta`
@@ -207,7 +207,7 @@ pub struct HealthResponse {
 /// Watchdog standing in `GET /healthz`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IncidentStandingBody {
-    /// Incidents currently open (latched rules + active externals).
+    /// Incidents currently open (latched rules).
     pub active: u64,
     /// Incidents opened since start (monotonic, unbounded).
     pub opened: u64,
@@ -267,8 +267,8 @@ pub struct QualityStandingBody {
     pub mean_score: f64,
     /// Current consecutive-low-sample streak.
     pub low_streak: u64,
-    /// Whether the low-quality streak has reached the sustained
-    /// threshold (contributes to `"degraded"` status).
+    /// Whether a `quality_sustained_low.<interface>` watchdog incident
+    /// stands.
     pub sustained_low: bool,
 }
 
@@ -464,20 +464,23 @@ pub struct AimSelectionBody {
     pub static_score: f64,
 }
 
-/// One route's SLO standing as reported by `/healthz`.
+/// One route's SLO standing over the last minute of sampler ticks, as
+/// reported by `/healthz`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SloRouteBody {
-    /// Requests in the window meeting the objective.
+    /// Requests in the window that answered under 500 within the
+    /// objective.
     pub good: u64,
     /// Total requests in the window.
     pub total: u64,
     /// `good / total` (1.0 on an empty window).
     pub good_ratio: f64,
-    /// Error-budget burn rate over the full window.
+    /// Error-budget burn rate over the window.
     pub burn_rate: f64,
-    /// Burn rate over the fast-burn suffix window.
+    /// Burn rate over the newest tick alone, the one the route's
+    /// `slo_fast_burn.<route>` rule judged last.
     pub fast_burn_rate: f64,
-    /// Whether this route's fast-burn window has tripped.
+    /// Whether the route's `slo_fast_burn.<route>` incident stands.
     pub degraded: bool,
 }
 

@@ -24,6 +24,7 @@
 //!   requests (answering `Connection: close`), then
 //!   [`ServerHandle::join`] returns.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -33,12 +34,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use exrec_obs::profile::{self, PhaseCollector, Profiler};
-use exrec_obs::slo::RouteStatus;
 use exrec_obs::timeseries::Stat;
-use exrec_obs::watch::{Detector, Rule, WatchConfig, Watchdog};
+use exrec_obs::watch::{
+    burn_rate, tick_burn, Detector, Rule, WatchConfig, Watchdog, SLO_WINDOW_NS,
+};
 use exrec_obs::{
-    promtext, trace, FlightConfig, FlightRecorder, IdSource, IngestRecord, RequestRecord, RunMeta,
-    SloConfig, SloMonitor, Telemetry, TimeSeries, TsConfig,
+    promtext, trace, FlightConfig, FlightRecorder, IdSource, IngestRecord, QualitySnapshot,
+    RequestRecord, RunMeta, Telemetry, TimeSeries, TsConfig,
 };
 
 use exrec_core::aims::Aim;
@@ -72,9 +74,6 @@ pub struct ServerConfig {
     pub idle_timeout_ms: u64,
     /// Largest accepted request body, bytes.
     pub max_body_bytes: usize,
-    /// SLO objective and rolling-window shape (`/healthz` standing,
-    /// `slo.*` gauges, degraded detection).
-    pub slo: SloConfig,
     /// Seed for the trace id stream; `None` seeds from entropy. Fixing
     /// it makes test traces deterministic.
     pub trace_seed: Option<u64>,
@@ -95,6 +94,18 @@ pub struct ServerConfig {
 /// series the edge already publishes; crossing a threshold for
 /// `trip_after` consecutive ticks opens one latched incident (and one
 /// flight dump), cleared after `clear_after` normal ticks.
+///
+/// The SLO is one `slo_fast_burn.<route>` rule per route: a request is
+/// bad when it answers 5xx or takes longer than `slo_objective_ns` (a
+/// 4xx is the server behaving correctly), and a tick is anomalous when
+/// the route served at least [`exrec_obs::watch::BURN_MIN_REQUESTS`]
+/// requests in it and burned its error budget at least
+/// [`exrec_obs::watch::FAST_BURN`] times as fast as `slo_target`
+/// allows. The fast window and the request guard are one sampler tick
+/// (`TsConfig::interval_ns`), so a shorter tick needs a busier route to
+/// page. Sustained-low quality is one `quality_sustained_low.<interface>`
+/// floor rule per interface at the quality monitor's `low_threshold`,
+/// judged only on ticks in which that interface was sampled.
 #[derive(Debug, Clone)]
 pub struct WatchTuning {
     /// Consecutive anomalous ticks before an incident opens.
@@ -109,15 +120,19 @@ pub struct WatchTuning {
     pub error_rate_max: f64,
     /// Ceiling on `serve.shed` per second.
     pub shed_rate_max: f64,
-    /// Floor under the live `quality.fidelity` gauge.
-    pub quality_min: f64,
+    /// Latency objective, nanoseconds: a slower request is bad.
+    pub slo_objective_ns: u64,
+    /// Target good ratio; `1 - slo_target` is the error budget, so a
+    /// target of 0 never trips a burn rule.
+    pub slo_target: f64,
     /// Ceiling on the scan engine's `revision_lag` (matrix revisions
     /// the resident candidate index trails the live world by).
     pub revision_lag_max: f64,
     /// Floor under the pruned scan's `prune_ratio`.
     pub prune_ratio_min: f64,
-    /// Ticks of warmup before floor (`Below`) rules arm — ratios sit at
-    /// zero before traffic exists.
+    /// Healthy ticks before floor (`Below`) rules arm — ratios sit at
+    /// zero before traffic exists, and a drop needs something to drop
+    /// from.
     pub warmup_ticks: u64,
     /// Incidents retained in the bounded log.
     pub incident_capacity: usize,
@@ -132,7 +147,8 @@ impl Default for WatchTuning {
             zscore_warmup: 12,
             error_rate_max: 1.0,
             shed_rate_max: 100.0,
-            quality_min: 0.15,
+            slo_objective_ns: 250_000_000,
+            slo_target: 0.99,
             revision_lag_max: 512.0,
             prune_ratio_min: 0.02,
             warmup_ticks: 10,
@@ -142,8 +158,9 @@ impl Default for WatchTuning {
 }
 
 impl WatchTuning {
-    /// The default rule set over the edge's sampled series.
-    fn rules(&self) -> Vec<Rule> {
+    /// The default rule set over the edge's sampled series; quality
+    /// rules floor each interface's rolling score at `quality_floor`.
+    fn rules(&self, quality_floor: f64) -> Vec<Rule> {
         let mut rules = Vec::new();
         for route in ["recommend", "explain"] {
             rules.push(Rule {
@@ -154,6 +171,7 @@ impl WatchTuning {
                     factor: self.latency_zscore,
                     min_samples: self.zscore_warmup,
                 },
+                evidence: None,
             });
         }
         rules.push(Rule {
@@ -163,6 +181,7 @@ impl WatchTuning {
             detector: Detector::Above {
                 max: self.error_rate_max,
             },
+            evidence: None,
         });
         rules.push(Rule {
             name: "shed_rate".to_owned(),
@@ -171,15 +190,7 @@ impl WatchTuning {
             detector: Detector::Above {
                 max: self.shed_rate_max,
             },
-        });
-        rules.push(Rule {
-            name: "quality_fidelity_drop".to_owned(),
-            metric: "quality.fidelity".to_owned(),
-            stat: Stat::Value,
-            detector: Detector::Below {
-                min: self.quality_min,
-                min_samples: self.warmup_ticks,
-            },
+            evidence: None,
         });
         rules.push(Rule {
             name: "ingest_revision_lag".to_owned(),
@@ -188,6 +199,7 @@ impl WatchTuning {
             detector: Detector::Above {
                 max: self.revision_lag_max,
             },
+            evidence: None,
         });
         rules.push(Rule {
             name: "scan_prune_ratio_collapse".to_owned(),
@@ -197,9 +209,70 @@ impl WatchTuning {
                 min: self.prune_ratio_min,
                 min_samples: self.warmup_ticks,
             },
+            evidence: None,
         });
+        for route in endpoints() {
+            rules.push(Rule {
+                name: format!("slo_fast_burn.{route}"),
+                metric: format!("serve.latency_ns.{route}"),
+                stat: Stat::Count,
+                detector: Detector::Burn {
+                    bad: format!("slo.bad.{route}"),
+                    target: self.slo_target,
+                },
+                evidence: None,
+            });
+        }
+        // Each interface arms only on its own healthy history, so a
+        // client switching interfaces is not a drop. Its rolling score
+        // holds between samples, so only a tick with new samples of
+        // the interface counts.
+        for interface in InterfaceId::ALL {
+            let key = interface.key();
+            rules.push(Rule {
+                name: format!("quality_sustained_low.{key}"),
+                metric: format!("quality.score.{key}"),
+                stat: Stat::Value,
+                detector: Detector::Below {
+                    min: quality_floor,
+                    min_samples: self.warmup_ticks,
+                },
+                evidence: Some(format!("quality.samples.{key}")),
+            });
+        }
         rules
     }
+}
+
+/// Every routed request line, as `(method, path, endpoint)`: the
+/// endpoint name is what the request is profiled, recorded and
+/// SLO-tracked under.
+const ROUTES: [(&str, &str, &str); 13] = [
+    ("GET", "/healthz", "healthz"),
+    ("GET", "/metrics", "metrics"),
+    ("GET", "/debug/profile", "debug_profile"),
+    ("GET", "/debug/requests", "debug_requests"),
+    ("GET", "/debug/world", "debug_world"),
+    ("GET", "/debug/quality", "debug_quality"),
+    ("GET", "/debug/ingest", "debug_ingest"),
+    ("GET", "/debug/timeseries", "debug_timeseries"),
+    ("GET", "/debug/incidents", "debug_incidents"),
+    ("POST", "/v1/recommend", "recommend"),
+    ("POST", "/v1/explain", "explain"),
+    ("POST", "/v1/rate", "rate"),
+    ("POST", "/v1/rate/batch", "rate_batch"),
+];
+
+/// Every endpoint name, the two that answer unrouted requests included.
+fn endpoints() -> impl Iterator<Item = &'static str> {
+    let routed = ROUTES.iter().map(|&(_, _, endpoint)| endpoint);
+    routed.chain(["method_not_allowed", "not_found"])
+}
+
+/// Whether a request spends SLO error budget: it answered 5xx, or took
+/// longer than the objective.
+fn slo_bad(status: u16, took_ns: u64, objective_ns: u64) -> bool {
+    status >= 500 || took_ns > objective_ns
 }
 
 impl Default for ServerConfig {
@@ -212,7 +285,6 @@ impl Default for ServerConfig {
             max_deadline_ms: 30_000,
             idle_timeout_ms: 5_000,
             max_body_bytes: 1 << 20,
-            slo: SloConfig::default(),
             trace_seed: None,
             debug_endpoints: false,
             flight_capacity: 256,
@@ -239,8 +311,6 @@ struct Shared {
     started_at: Instant,
     /// Source of trace/span ids for request root spans.
     ids: Arc<IdSource>,
-    /// Rolling-window SLO standing per route.
-    slo: SloMonitor,
     /// Workers currently executing a request (not blocked on the queue).
     busy: AtomicUsize,
     /// Always-on phase profiler (`GET /debug/profile`).
@@ -251,8 +321,8 @@ struct Shared {
     /// worker pool (`GET /debug/timeseries`).
     ts: TimeSeries,
     /// Anomaly watchdog + incident log — the unified flight-dump
-    /// trigger path (rules over ticks, SLO fast-burn and sustained-low
-    /// quality as external standings, panics as events).
+    /// trigger path (rules over ticks, SLO fast burn and sustained-low
+    /// quality among them; panics as events).
     watch: Arc<Watchdog>,
     /// Build/run identity served from `/healthz` and `/debug/world`.
     meta: RunMeta,
@@ -291,7 +361,9 @@ pub fn start(
                 log_capacity: config.watch.incident_capacity,
                 ..WatchConfig::default()
             },
-            config.watch.rules(),
+            config
+                .watch
+                .rules(app.quality_monitor().config().low_threshold),
         )
         .with_flight(Arc::clone(&flight))
         .with_metrics(telemetry.metrics()),
@@ -311,7 +383,6 @@ pub fn start(
             Some(seed) => IdSource::seeded(seed),
             None => IdSource::default(),
         }),
-        slo: SloMonitor::new(config.slo),
         busy: AtomicUsize::new(0),
         profiler: Arc::new(Profiler::new()),
         flight,
@@ -361,10 +432,10 @@ impl ServerHandle {
         &self.shared.telemetry
     }
 
-    /// Current per-route SLO standing (the `serve` binary prints this
-    /// in its shutdown report).
-    pub fn slo_snapshot(&self) -> std::collections::BTreeMap<String, RouteStatus> {
-        self.shared.slo.snapshot()
+    /// Per-route SLO standing over the last minute of ticks (the
+    /// `serve` binary prints this in its shutdown report).
+    pub fn slo_snapshot(&self) -> BTreeMap<String, SloRouteBody> {
+        slo_standing(&self.shared)
     }
 
     /// The always-on phase profiler behind `GET /debug/profile`.
@@ -374,13 +445,12 @@ impl ServerHandle {
 
     /// The live quality estimator's snapshot (the `serve` binary
     /// prints per-interface quality in its shutdown report).
-    pub fn quality_snapshot(&self) -> exrec_obs::QualitySnapshot {
-        self.shared.app.quality_monitor().snapshot()
+    pub fn quality_snapshot(&self) -> QualitySnapshot {
+        quality_snapshot(&self.shared)
     }
 
-    /// The request flight recorder behind `GET /debug/requests`. The
-    /// `serve` binary chains it into the process panic hook
-    /// ([`FlightRecorder::install_panic_hook`]).
+    /// The request flight recorder behind `GET /debug/requests`; the
+    /// watchdog dumps it once per incident.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.shared.flight
     }
@@ -544,16 +614,80 @@ fn worker_loop(shared: &Shared) {
 
 /// Drives one cooperative sampler tick if due: refreshes the derived
 /// gauges the detectors read, cuts the time-series sample (CAS-claimed,
-/// so exactly one caller wins), and runs the watchdog over it. The
-/// not-due path is two atomic loads.
+/// so exactly one caller wins), runs the watchdog over it and refreshes
+/// the `slo.*` gauges from the rings. The not-due path is two atomic
+/// loads.
 fn maybe_tick(shared: &Shared) {
     if !shared.ts.due() {
         return;
     }
     refresh_derived_gauges(shared);
-    if let Some(tick) = shared.ts.maybe_sample(shared.telemetry.metrics()) {
+    let metrics = shared.telemetry.metrics();
+    if let Some(tick) = shared.ts.maybe_sample(metrics) {
         shared.watch.observe(&tick);
+        for (route, st) in slo_standing(shared) {
+            metrics
+                .gauge(&format!("slo.good_ratio.{route}"))
+                .set(st.good_ratio);
+            metrics
+                .gauge(&format!("slo.burn_rate.{route}"))
+                .set(st.burn_rate);
+            metrics
+                .gauge(&format!("slo.window_good.{route}"))
+                .set(st.good as f64);
+            metrics
+                .gauge(&format!("slo.window_total.{route}"))
+                .set(st.total as f64);
+        }
     }
+}
+
+/// Each route's SLO standing over the last [`SLO_WINDOW_NS`] of ticks,
+/// read from the time-series rings the burn rules judge: requests from
+/// the route's latency histogram, bad ones from its `slo.bad.<route>`
+/// counter, `fast_burn_rate` as the burn rule judged the newest tick,
+/// and `degraded` from whether its incident stands. Routes the sampler
+/// has not seen yet are absent.
+fn slo_standing(shared: &Shared) -> BTreeMap<String, SloRouteBody> {
+    let target = shared.config.watch.slo_target;
+    let standing = shared.watch.standing();
+    let ts = &shared.ts;
+    endpoints()
+        .filter_map(|route| {
+            let (tick_total, total) =
+                ts.totals(&format!("serve.latency_ns.{route}"), SLO_WINDOW_NS)?;
+            let (tick_bad, bad) = ts
+                .totals(&format!("slo.bad.{route}"), SLO_WINDOW_NS)
+                .unwrap_or_default();
+            let good = total - bad.min(total);
+            let rule = format!("slo_fast_burn.{route}");
+            let body = SloRouteBody {
+                good,
+                total,
+                good_ratio: if total == 0 {
+                    1.0
+                } else {
+                    good as f64 / total as f64
+                },
+                burn_rate: burn_rate(bad, total, target),
+                fast_burn_rate: tick_burn(tick_bad, tick_total, target),
+                degraded: standing.contains(&rule.as_str()),
+            };
+            Some((route.to_owned(), body))
+        })
+        .collect()
+}
+
+/// The live quality estimator's snapshot, with `sustained_low` set when
+/// any interface's `quality_sustained_low.*` incident stands.
+fn quality_snapshot(shared: &Shared) -> QualitySnapshot {
+    let mut snapshot = shared.app.quality_monitor().snapshot();
+    snapshot.sustained_low = shared
+        .watch
+        .standing()
+        .iter()
+        .any(|rule| rule.starts_with("quality_sustained_low."));
+    snapshot
 }
 
 /// Publishes the point-in-time candidate-index revision lag, which only
@@ -694,13 +828,10 @@ fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Records the per-request metrics every endpoint shares, advances the
-/// route's SLO window, refreshes the `slo.*` gauges, and writes the
-/// request into the flight recorder. SLO fast-burn and sustained-low
-/// quality standings feed the watchdog as external signals: the rising
-/// edge opens one latched incident (and one flight dump), the falling
-/// edge closes it — the same once-per-onset discipline the two old
-/// ad-hoc `AtomicBool` latches implemented separately.
+/// Records the per-request metrics every endpoint shares, counts the
+/// request against the route's SLO when it is bad, and writes the
+/// request into the flight recorder. The burn rules judge those series
+/// on the next tick.
 #[allow(clippy::too_many_arguments)]
 fn record(
     shared: &Shared,
@@ -732,45 +863,9 @@ fn record(
         quality: collector.quality(),
         ingest,
     });
-    // 4xx is the server behaving correctly under a bad request; only
-    // 5xx spends error budget on top of the latency objective.
-    let ok = status < 500;
-    shared.slo.record(endpoint, duration_ns(took), ok);
-    if let Some(st) = shared.slo.status(endpoint) {
-        metrics
-            .gauge(&format!("slo.good_ratio.{endpoint}"))
-            .set(st.good_ratio);
-        metrics
-            .gauge(&format!("slo.burn_rate.{endpoint}"))
-            .set(st.burn_rate);
-        metrics
-            .gauge(&format!("slo.window_good.{endpoint}"))
-            .set(st.good as f64);
-        metrics
-            .gauge(&format!("slo.window_total.{endpoint}"))
-            .set(st.total as f64);
-        if st.degraded {
-            shared.watch.external(
-                "slo_fast_burn",
-                true,
-                &format!("slo fast-burn onset on {endpoint}"),
-            );
-        } else if shared.watch.external_active("slo_fast_burn")
-            && !shared.slo.snapshot().values().any(|s| s.degraded)
-        {
-            shared.watch.external("slo_fast_burn", false, "");
-        }
-    }
-    // Sustained low explanation quality enters the same unified path:
-    // the sampled low-quality requests are still resident in the flight
-    // ring, scores attached, when the dump fires.
-    let sustained_low = shared.app.quality_monitor().sustained_low();
-    if sustained_low || shared.watch.external_active("quality_sustained_low") {
-        shared.watch.external(
-            "quality_sustained_low",
-            sustained_low,
-            "sustained low explanation quality",
-        );
+    let objective_ns = shared.config.watch.slo_objective_ns;
+    if slo_bad(status, duration_ns(took), objective_ns) {
+        metrics.counter(&format!("slo.bad.{endpoint}")).incr();
     }
     // Busy traffic drives the sampler from the request path too, so
     // tick cadence never depends on a worker going idle.
@@ -793,27 +888,10 @@ fn dispatch(
         Some((path, query)) => (path, Some(query)),
         None => (request.path.as_str(), None),
     };
-    let endpoint: &'static str = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => "healthz",
-        ("GET", "/metrics") => "metrics",
-        ("GET", "/debug/profile") => "debug_profile",
-        ("GET", "/debug/requests") => "debug_requests",
-        ("GET", "/debug/world") => "debug_world",
-        ("GET", "/debug/quality") => "debug_quality",
-        ("GET", "/debug/ingest") => "debug_ingest",
-        ("GET", "/debug/timeseries") => "debug_timeseries",
-        ("GET", "/debug/incidents") => "debug_incidents",
-        ("POST", "/v1/recommend") => "recommend",
-        ("POST", "/v1/explain") => "explain",
-        ("POST", "/v1/rate") => "rate",
-        ("POST", "/v1/rate/batch") => "rate_batch",
-        (
-            _,
-            "/healthz" | "/metrics" | "/v1/recommend" | "/v1/explain" | "/v1/rate"
-            | "/v1/rate/batch" | "/debug/profile" | "/debug/requests" | "/debug/world"
-            | "/debug/quality" | "/debug/ingest" | "/debug/timeseries" | "/debug/incidents",
-        ) => "method_not_allowed",
-        _ => "not_found",
+    let endpoint = match ROUTES.iter().find(|&&(_, route, _)| route == path) {
+        Some(&(method, _, endpoint)) if method == request.method => endpoint,
+        Some(_) => "method_not_allowed",
+        None => "not_found",
     };
     let _route = shared.profiler.route(endpoint, Arc::clone(collector));
     let _handle = profile::phase("handle");
@@ -942,7 +1020,7 @@ fn debug_quality(shared: &Shared) -> Response {
         200,
         &DebugQualityBody {
             offline,
-            online: app.quality_monitor().snapshot(),
+            online: quality_snapshot(shared),
             selection,
         },
     )
@@ -1098,17 +1176,15 @@ fn metrics_response(shared: &Shared, request: &Request) -> Response {
     }
 }
 
+/// `GET /healthz`: degraded exactly when a watchdog incident stands
+/// (SLO burn and quality drops are rules like any other), draining once
+/// shutdown began.
 fn health(shared: &Shared) -> Response {
-    let slo = shared.slo.snapshot();
-    let quality = shared.app.quality_monitor().snapshot();
-    // Any standing incident — a latched watchdog rule or an active
-    // external — degrades health; the SLO/quality checks below are
-    // technically redundant with their external standings but kept so
-    // /healthz never lags the signal by one request.
+    let quality = quality_snapshot(shared);
     let active_incidents = shared.watch.active();
     let status = if shared.draining.load(Ordering::SeqCst) {
         "draining"
-    } else if slo.values().any(|s| s.degraded) || quality.sustained_low || active_incidents > 0 {
+    } else if active_incidents > 0 {
         "degraded"
     } else {
         "ok"
@@ -1130,22 +1206,7 @@ fn health(shared: &Shared) -> Response {
             queue_saturation: queue_depth as f64 / queue_capacity.max(1) as f64,
             busy_workers,
             worker_saturation: busy_workers as f64 / workers as f64,
-            slo: slo
-                .into_iter()
-                .map(|(route, s)| {
-                    (
-                        route,
-                        SloRouteBody {
-                            good: s.good,
-                            total: s.total,
-                            good_ratio: s.good_ratio,
-                            burn_rate: s.burn_rate,
-                            fast_burn_rate: s.fast_burn_rate,
-                            degraded: s.degraded,
-                        },
-                    )
-                })
-                .collect(),
+            slo: slo_standing(shared),
             quality: Some(QualityStandingBody {
                 samples: quality.samples,
                 sample_every: quality.sample_every,
@@ -1317,5 +1378,24 @@ fn handle_post(
                 None,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slo_counts_5xx_and_slow_requests_as_bad_and_4xx_as_good() {
+        const OBJECTIVE_NS: u64 = 100_000;
+        assert!(!slo_bad(200, 50_000, OBJECTIVE_NS));
+        assert!(
+            !slo_bad(200, OBJECTIVE_NS, OBJECTIVE_NS),
+            "at the objective"
+        );
+        assert!(slo_bad(200, 500_000, OBJECTIVE_NS), "slow");
+        assert!(slo_bad(500, 50_000, OBJECTIVE_NS), "errored");
+        assert!(slo_bad(504, 50_000, OBJECTIVE_NS), "timed out");
+        assert!(!slo_bad(404, 50_000, OBJECTIVE_NS), "a 4xx is good");
     }
 }

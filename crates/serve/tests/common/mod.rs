@@ -18,13 +18,18 @@ pub fn start_server(
         default_deadline_ms: 10_000,
         ..ServerConfig::default()
     };
-    let mut app_config = AppConfig {
+    let mut app_config = test_world();
+    configure(&mut server_config, &mut app_config);
+    let app = ExplainApp::new(app_config, telemetry.clone());
+    server::start(app, server_config, telemetry).expect("start server")
+}
+
+/// The 60 × 40 world the test server runs unless `configure` changes it.
+pub fn test_world() -> AppConfig {
+    AppConfig {
         n_users: 60,
         n_items: 40,
         density: 0.3,
         ..AppConfig::default()
-    };
-    configure(&mut server_config, &mut app_config);
-    let app = ExplainApp::new(app_config, telemetry.clone());
-    server::start(app, server_config, telemetry).expect("start server")
+    }
 }

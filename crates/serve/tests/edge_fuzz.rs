@@ -45,9 +45,9 @@ fn server() -> SocketAddr {
                 ..ServerConfig::default()
             };
             // Heavy valid cases breach the latency objective by design;
-            // a zero target keeps the SLO alarm (and its flight dump)
-            // quiet.
-            config.slo.target = 0.0;
+            // a zero target keeps the SLO burn rules (and their flight
+            // dumps) quiet.
+            config.watch.slo_target = 0.0;
             server::start(app, config, Telemetry::default()).expect("start server")
         })
         .addr()

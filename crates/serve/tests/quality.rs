@@ -2,11 +2,15 @@
 //! aim-fit interface selection over HTTP (`?aim=` / body `aim`), the
 //! gated `GET /debug/quality` endpoint, `quality.*` metric families in
 //! the Prometheus exposition, quality standing in `/healthz`, sampled
-//! quality scores riding along in flight records, and the online
+//! quality scores riding along in flight records, the online
 //! estimator agreeing with the offline fidelity measurement on the
-//! same world.
+//! same world, and the per-interface sustained-low rules: a drop within
+//! one interface latches one incident, a switch between interfaces
+//! none.
 
 mod common;
+
+use std::time::{Duration, Instant};
 
 use exrec_obs::Telemetry;
 use exrec_serve::app::{AppConfig, Deadline, ExplainApp};
@@ -197,12 +201,9 @@ fn online_estimator_agrees_with_offline_fidelity_on_the_same_world() {
     // startup measurement of the same interface on the same world.
     let app = ExplainApp::new(
         AppConfig {
-            n_users: 60,
-            n_items: 40,
-            density: 0.3,
             quality_sample_every: 1,
             quality_pairs: 40,
-            ..AppConfig::default()
+            ..common::test_world()
         },
         Telemetry::default(),
     );
@@ -306,32 +307,195 @@ fn default_explains_on_the_default_world_leave_health_ok() {
     handle.shutdown();
 }
 
+/// `(user, item)` pairs.
+type Pairs = Vec<(u32, u32)>;
+
+/// The `pairs` that `interface` (`None` for the served default) explains
+/// on `world`, split into those scoring at or above the quality floor
+/// and those under it, as an app of the same world measures them.
+fn pairs_by_score(
+    world: AppConfig,
+    interface: Option<&str>,
+    pairs: impl IntoIterator<Item = (u32, u32)>,
+) -> (Pairs, Pairs) {
+    let app = ExplainApp::new(
+        AppConfig {
+            quality_sample_every: 1,
+            ..world
+        },
+        Telemetry::default(),
+    );
+    let (mut high, mut low) = (Vec::new(), Vec::new());
+    for (user, item) in pairs {
+        let req = ExplainRequest {
+            user,
+            item,
+            interface: interface.map(str::to_owned),
+            aim: None,
+            deadline_ms: None,
+            inject_panic: None,
+            inject_delay_ms: None,
+        };
+        if app.explain(&req, Deadline::after_ms(60_000)).is_ok() {
+            // The streak resets on every sample at or above the floor.
+            match app.quality_monitor().snapshot().low_streak {
+                0 => high.push((user, item)),
+                _ => low.push((user, item)),
+            }
+        }
+    }
+    (high, low)
+}
+
+/// Waits until the server's sampler has cut `ticks` more ticks.
+fn wait_ticks(handle: &ServerHandle, ticks: u64) {
+    let counter = handle.telemetry().metrics().counter("ts.ticks");
+    let target = counter.get() + ticks;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while counter.get() < target {
+        assert!(Instant::now() < deadline, "the sampler stopped ticking");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Explains `pairs` in `ticks` runs of nearly equal length, waiting out
+/// one sampler tick after each, so the samples land in at least `ticks`
+/// ticks. A quality rule judges only ticks with new samples of its
+/// interface. Returns how many were answered with an explanation.
+fn explain_across_ticks(
+    handle: &ServerHandle,
+    client: &mut Connection,
+    interface: Option<&str>,
+    pairs: &[(u32, u32)],
+    ticks: u64,
+) -> usize {
+    let run = pairs.len().div_ceil(ticks as usize).max(1);
+    let mut served = 0;
+    for chunk in pairs.chunks(run) {
+        served += explain_pairs(client, interface, chunk.iter().copied());
+        wait_ticks(handle, 1);
+    }
+    served
+}
+
+/// A server over `world` that samples every explain, ticks every 25 ms
+/// and judges quality alone: latency drift is not what these tests pin
+/// (sub-millisecond p99s on 25 ms ticks move by whole buckets).
+fn start_quality_server(world: AppConfig) -> ServerHandle {
+    start_server(|server, app| {
+        *app = world;
+        app.quality_sample_every = 1;
+        server.debug_endpoints = true;
+        server.ts.interval_ns = 25_000_000;
+        server.watch.latency_zscore = f64::INFINITY;
+    })
+}
+
+/// Asserts the server opened no incident, dumped nothing and reads ok.
+fn assert_quiet(addr: std::net::SocketAddr) {
+    let incidents: DebugIncidentsBody = get_json(addr, "/debug/incidents");
+    assert_eq!(incidents.opened, 0, "{:?}", incidents.incidents);
+    assert_eq!(incidents.flight_dumps, 0);
+    let health: HealthResponse = get_json(addr, "/healthz");
+    assert_eq!(health.status, "ok", "{:?}", health.quality);
+}
+
 #[test]
 fn a_real_quality_drop_latches_one_incident() {
-    let handle = start_server(|server, app| {
-        server.debug_endpoints = true;
-        app.quality_sample_every = 1;
-    });
+    // `histogram` scores between about 0.17 and 0.48 on the test world:
+    // its own high pairs arm its rule, its own low pairs are the drop.
+    let interface = "histogram";
+    let candidates = (0..3).flat_map(|k| (0..60u32).map(move |user| (user, (7 * user + k) % 40)));
+    let (high, low) = pairs_by_score(common::test_world(), Some(interface), candidates);
+    assert!(high.len() >= 10 && low.len() >= 40, "{high:?} {low:?}");
+    let handle = start_quality_server(common::test_world());
     let addr = handle.addr();
     let mut client = Connection::open(addr).unwrap();
-    let pairs = || (0..60u32).map(|user| (user, user * 7 % 40));
 
-    // neighbor_table cites every neighbour it draws on (coverage 1), so
-    // each of its scores is at least 1/3: healthy samples that arm the
-    // streak without tripping it.
-    assert!(explain_pairs(&mut client, Some("neighbor_table"), pairs()) >= 8);
+    // Arm: one high sample in each of the rule's healthy warm-up ticks.
+    let warmup = ServerConfig::default().watch.warmup_ticks;
+    let arm = &high[..warmup as usize];
+    assert_eq!(
+        explain_across_ticks(&handle, &mut client, Some(interface), arm, warmup),
+        arm.len()
+    );
     let health: HealthResponse = get_json(addr, "/healthz");
     assert_eq!(health.status, "ok", "{:?}", health.quality);
 
-    // item_average scores under the threshold on most pairs: the drop.
-    let latched = pairs().any(|pair| {
-        explain_pairs(&mut client, Some("item_average"), [pair]);
-        get_json::<HealthResponse>(addr, "/healthz").status == "degraded"
-    });
-    assert!(latched, "item_average never latched the streak");
+    // The drop: forty low samples over twenty ticks pull the rolling
+    // mean under 0.25 and hold it there.
+    assert_eq!(
+        explain_across_ticks(&handle, &mut client, Some(interface), &low[..40], 20),
+        40
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while get_json::<HealthResponse>(addr, "/healthz").status != "degraded" {
+        assert!(Instant::now() < deadline, "the drop never latched");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let health: HealthResponse = get_json(addr, "/healthz");
+    assert!(health.quality.expect("quality standing").sustained_low);
     let incidents: DebugIncidentsBody = get_json(addr, "/debug/incidents");
     assert_eq!(incidents.opened, 1, "{:?}", incidents.incidents);
     assert_eq!(incidents.flight_dumps, 1);
-    assert_eq!(incidents.incidents[0].rule, "quality_sustained_low");
+    let incident = &incidents.incidents[0];
+    assert_eq!(incident.rule, "quality_sustained_low.histogram");
+    assert_eq!(incident.kind, "below");
+    let debug: DebugQualityBody = get_json(addr, "/debug/quality");
+    assert!(debug.online.sustained_low);
+    handle.shutdown();
+}
+
+/// `n` default-world pairs from the `k`-th on.
+fn default_pairs(from: u32, n: u32) -> Pairs {
+    (from..from + n)
+        .map(|k| (k * 7 % 2_000, k * 13 % 300))
+        .collect()
+}
+
+#[test]
+fn switching_interfaces_is_not_a_quality_drop() {
+    // On the default world the default interface holds a rolling score
+    // of about 0.17 and `neighbor_table` about 0.42. Healthy
+    // `neighbor_table` samples arm only its own rule, so the default
+    // interface's ordinary low scores before and after them are no
+    // drop. Each leg spans enough sampled ticks for any rule to arm.
+    let handle = start_quality_server(AppConfig::default());
+    let addr = handle.addr();
+    let mut client = Connection::open(addr).unwrap();
+    let ticks = ServerConfig::default().watch.warmup_ticks + 2;
+
+    let before = default_pairs(0, 200);
+    assert!(explain_across_ticks(&handle, &mut client, None, &before, ticks) >= 100);
+    let table: Pairs = (0..60u32).map(|k| (k * 31 % 2_000, k * 11 % 300)).collect();
+    let table_served =
+        explain_across_ticks(&handle, &mut client, Some("neighbor_table"), &table, ticks);
+    assert!(table_served >= 30);
+    let after = default_pairs(200, 200);
+    assert!(explain_across_ticks(&handle, &mut client, None, &after, ticks) >= 100);
+    wait_ticks(&handle, ticks);
+    assert_quiet(addr);
+    handle.shutdown();
+}
+
+#[test]
+fn one_high_sample_held_over_idle_ticks_arms_nothing() {
+    // A single default explain can score over the floor, and its
+    // interface's rolling score holds that value while no explains
+    // arrive. Idle ticks are no evidence: the ordinary samples after
+    // them must not trip a rule the held score armed.
+    let (high, _) = pairs_by_score(AppConfig::default(), None, default_pairs(0, 400));
+    let first = *high.first().expect("a default explain over the floor");
+    let handle = start_quality_server(AppConfig::default());
+    let addr = handle.addr();
+    let mut client = Connection::open(addr).unwrap();
+    let warmup = ServerConfig::default().watch.warmup_ticks;
+
+    assert_eq!(explain_pairs(&mut client, None, [first]), 1);
+    wait_ticks(&handle, warmup + 2);
+    let after = default_pairs(400, 200);
+    assert!(explain_across_ticks(&handle, &mut client, None, &after, warmup + 2) >= 100);
+    wait_ticks(&handle, 2);
+    assert_quiet(addr);
     handle.shutdown();
 }

@@ -6,21 +6,22 @@
 //!   and the `x-exrec-trace-id` response header carries the tree's id;
 //!   a traced `POST /v1/explain` carries its one evidence call.
 //! * A fast request below the tail threshold flushes nothing while the
-//!   `slo.*` window gauges still advance.
+//!   `slo.*` window gauges still advance on the next sampler tick.
 //! * `/healthz` exposes backpressure (queue/worker saturation) and the
-//!   per-route SLO standing, turning `degraded` when a fast-burn
-//!   window trips.
+//!   per-route SLO standing, turning `degraded` while a route's
+//!   fast-burn rule stands and `ok` again once it clears.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use exrec_obs::{
-    CountingSubscriber, Metrics, SloConfig, SpanEvent, Subscriber, TailConfig,
-    TailSamplingSubscriber, Telemetry,
+    CountingSubscriber, Metrics, SpanEvent, Subscriber, TailConfig, TailSamplingSubscriber,
+    Telemetry,
 };
-use exrec_serve::client;
+use exrec_serve::client::{self, Connection};
 use exrec_serve::proto::HealthResponse;
 use exrec_serve::server::{ServerConfig, ServerHandle};
 
@@ -199,7 +200,7 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
             head_sample_every: 0,
             ..TailConfig::default()
         },
-        |_| {},
+        |server| server.ts.interval_ns = 20_000_000,
     );
 
     let response = client::request(
@@ -225,12 +226,19 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
         .iter()
         .all(|e| e.trace_id.as_deref() != Some(trace_hex.as_str())));
 
-    // But the SLO window and the drop counter both advanced.
+    // But the drop counter advanced, and the next tick refreshes the
+    // SLO window gauges from the sampler's rings.
+    let total = telemetry.metrics().gauge("slo.window_total.recommend");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while total.get() < 1.0 {
+        assert!(
+            Instant::now() < deadline,
+            "no tick refreshed the slo gauges"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let report = telemetry.report();
-    assert!(
-        report.gauges["slo.window_total.recommend"] >= 1.0,
-        "slo window gauges advance on every request"
-    );
+    assert_eq!(report.gauges["slo.window_good.recommend"], 1.0);
     assert!(report.gauges.contains_key("slo.good_ratio.recommend"));
     assert!(report.gauges.contains_key("slo.burn_rate.recommend"));
     assert!(report.counters["trace.dropped"] >= 1);
@@ -239,26 +247,34 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
     handle.shutdown();
 }
 
+/// Polls `until` on the server's watchdog for up to 30 s.
+fn wait_for(handle: &ServerHandle, what: &str, mut until: impl FnMut(&ServerHandle) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !until(handle) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
-    // An impossible objective (0ns) with a hair-trigger fast-burn
-    // window: every request is bad, so the SLO degrades immediately.
+    // An impossible objective (0ns): every request is bad, so the first
+    // tick in which `recommend` serves ten requests trips its burn rule.
     let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |server| {
-        server.slo = SloConfig {
-            objective_ns: 0,
-            min_events: 1,
-            fast_burn_threshold: 1.0,
-            ..SloConfig::default()
-        };
+        server.ts.interval_ns = 200_000_000;
+        server.watch.slo_objective_ns = 0;
+        server.watch.trip_after = 1;
     });
+    let clear_after = u64::from(ServerConfig::default().watch.clear_after);
 
-    // Before any traffic: healthy, empty SLO map, zero saturation.
+    // Before any traffic: healthy, zero saturation.
     let before: HealthResponse = serde_json::from_str(
         &client::request(handle.addr(), "GET", "/healthz", &[], "")
             .unwrap()
             .body,
     )
     .expect("healthz JSON");
+    assert_eq!(before.status, "ok");
     assert_eq!(before.workers, 2);
     assert!(before.queue_saturation >= 0.0 && before.queue_saturation <= 1.0);
     assert!(
@@ -267,16 +283,15 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
     );
     assert!(before.worker_saturation > 0.0 && before.worker_saturation <= 1.0);
 
-    // Serve a request (it will miss the 0ns objective), then re-check.
-    let ok = client::request(
-        handle.addr(),
-        "POST",
-        "/v1/recommend",
-        &[],
-        r#"{"users": [0], "n": 2}"#,
-    )
-    .unwrap();
-    assert_eq!(ok.status, 200);
+    // Requests that all miss the 0ns objective, until the rule trips.
+    let mut client = Connection::open(handle.addr()).unwrap();
+    wait_for(&handle, "the burn rule to trip", |handle| {
+        let ok = client
+            .roundtrip("POST", "/v1/recommend", r#"{"users": [0], "n": 2}"#)
+            .unwrap();
+        assert_eq!(ok.status, 200);
+        handle.watchdog().active() > 0
+    });
     let after: HealthResponse = serde_json::from_str(
         &client::request(handle.addr(), "GET", "/healthz", &[], "")
             .unwrap()
@@ -285,10 +300,37 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
     .expect("healthz JSON");
     assert_eq!(after.status, "degraded");
     let rec = after.slo.get("recommend").expect("recommend route tracked");
-    assert_eq!(rec.total, 1);
+    assert!(rec.total >= 10, "{rec:?}");
     assert_eq!(rec.good, 0, "nothing meets a 0ns objective");
     assert!(rec.degraded);
     assert!(rec.burn_rate >= 1.0);
+    let standing = after.incidents.expect("incident standing");
+    assert_eq!(
+        standing.last_rule.as_deref(),
+        Some("slo_fast_burn.recommend")
+    );
+
+    // Quiet ticks clear the incident; nothing else opened or dumped.
+    wait_for(&handle, "the incident to close", |h| {
+        h.watchdog().active() == 0
+    });
+    let watch = handle.watchdog();
+    assert_eq!((watch.opened(), watch.flight_dumps()), (1, 1));
+    let incident = &watch.incidents()[0];
+    assert_eq!(incident.rule, "slo_fast_burn.recommend");
+    assert_eq!(incident.kind, "burn");
+    let closed = incident.closed_epoch.expect("closed");
+    assert!(
+        closed >= incident.opened_epoch + clear_after,
+        "{incident:?}"
+    );
+    let healed: HealthResponse = serde_json::from_str(
+        &client::request(handle.addr(), "GET", "/healthz", &[], "")
+            .unwrap()
+            .body,
+    )
+    .expect("healthz JSON");
+    assert_eq!(healed.status, "ok");
 
     handle.shutdown();
 }
