@@ -27,9 +27,8 @@
 //!
 //! [`batch`] turns the one-user-at-a-time substrates into a batch
 //! serving path (see `docs/architecture.md` for the request
-//! lifecycle): [`batch::BatchPool`] is a work-stealing thread pool
-//! distributing request chunks over crossbeam-style MPMC channels;
-//! results are bit-identical to the sequential per-user loop under any
+//! lifecycle): [`batch::BatchPool`] is a thread pool whose workers
+//! claim request chunks from one shared atomic cursor; results are bit-identical to the sequential per-user loop under any
 //! thread count.
 //!
 //! ## Sub-linear neighbour search

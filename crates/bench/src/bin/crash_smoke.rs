@@ -25,6 +25,13 @@
 //!    one 400 and a close, after which `/healthz` reads `ok` with no
 //!    incident ever opened (the real binary must not page itself), the
 //!    bodies are unchanged and SIGTERM still exits cleanly.
+//! 5. **Request log:** before that SIGTERM, the probe is sent once more
+//!    with a 300 ms injected delay (every child runs with
+//!    `--fault-injection`). It must answer the same bytes, and exactly
+//!    one flight record the server logged to stderr must carry its
+//!    `x-exrec-trace-id`, with route `recommend`. Every record logged in
+//!    any life must have been bad by the SLO: a 5xx, or slower than the
+//!    default 250 ms objective.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -35,8 +42,10 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use exrec_obs::RequestRecord;
 use exrec_serve::client::{self, Connection, Response};
 
 /// The deterministic world every `serve` child regenerates (plus
@@ -50,6 +59,13 @@ const USERS: &str = "300";
 /// Recommendation probe compared byte-for-byte across lives.
 const PROBE: &str = r#"{"users": [0, 1, 2, 3, 5, 8], "n": 10}"#;
 
+/// [`PROBE`], held 300 ms by fault injection: slower than the default
+/// SLO objective, so the server logs its flight record.
+const SLOW_PROBE: &str = r#"{"users": [0, 1, 2, 3, 5, 8], "n": 10, "inject_delay_ms": 300}"#;
+
+/// The `serve` default latency objective, nanoseconds.
+const SLO_OBJECTIVE_NS: u64 = 250_000_000;
+
 fn fail(msg: &str) -> ! {
     eprintln!("[crash_smoke] FAIL: {msg}");
     std::process::exit(1);
@@ -59,6 +75,9 @@ fn fail(msg: &str) -> ! {
 struct Server {
     child: Child,
     addr: SocketAddr,
+    /// The thread draining the child's stderr; at end of file it returns
+    /// the flight records the child logged (watchdog dumps excluded).
+    log: JoinHandle<Vec<RequestRecord>>,
 }
 
 /// The sibling `serve` binary over `wal`, generating a world of `users`
@@ -70,6 +89,7 @@ fn serve_command(wal: &Path, users: &str) -> Command {
     let mut command = Command::new(serve);
     command
         .args(["--port", "0", "--workers", "2", "--debug-endpoints"])
+        .arg("--fault-injection")
         .args(["--users", users])
         .args(WORLD)
         .arg("--wal-path")
@@ -82,24 +102,36 @@ fn serve_command(wal: &Path, users: &str) -> Command {
 
 /// Spawns `serve` against `wal` and waits for its listening banner.
 /// A thread keeps draining stderr afterwards so the child never blocks
-/// on a full pipe (sampled traces stream there).
+/// on a full pipe, keeping the flight records the child logs there.
 fn spawn_serve(wal: &Path) -> Server {
     let mut child = serve_command(wal, USERS)
         .spawn()
         .unwrap_or_else(|e| fail(&format!("spawn serve: {e}")));
     let stderr = child.stderr.take().expect("piped stderr");
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let log = std::thread::spawn(move || {
         let mut reader = BufReader::new(stderr);
         let mut line = String::new();
+        let (mut records, mut in_dump) = (Vec::new(), false);
         while reader.read_line(&mut line).unwrap_or(0) > 0 {
-            if let Some(rest) = line.trim_end().strip_prefix("[serve] listening on ") {
+            let text = line.trim_end();
+            if let Some(rest) = text.strip_prefix("[serve] listening on ") {
                 if let Some(addr) = rest.split_whitespace().next() {
                     let _ = tx.send(addr.to_owned());
+                }
+            } else if text.starts_with("[flight] === dump") {
+                in_dump = true;
+            } else if text.starts_with("[flight] === end dump") {
+                in_dump = false;
+            } else if text.starts_with("{\"seq\"") && !in_dump {
+                match serde_json::from_str(text) {
+                    Ok(record) => records.push(record),
+                    Err(e) => fail(&format!("unparseable logged record {text:?}: {e}")),
                 }
             }
             line.clear();
         }
+        records
     });
     let addr = rx
         .recv_timeout(Duration::from_secs(120))
@@ -107,7 +139,7 @@ fn spawn_serve(wal: &Path) -> Server {
     let addr = addr
         .parse()
         .unwrap_or_else(|_| fail(&format!("unparseable listen address {addr:?}")));
-    Server { child, addr }
+    Server { child, addr, log }
 }
 
 /// One request on a fresh connection.
@@ -247,8 +279,15 @@ fn refuse_mismatched_restart(wal: &Path) {
     }
 }
 
-/// SIGTERM the child and wait for a clean exit (the drain compacts).
-fn terminate(mut server: Server) {
+/// The flight records a child logged, read to the end of its stderr.
+fn logged_records(log: JoinHandle<Vec<RequestRecord>>) -> Vec<RequestRecord> {
+    log.join()
+        .unwrap_or_else(|_| fail("the stderr reader panicked"))
+}
+
+/// SIGTERM the child and wait for a clean exit (the drain compacts);
+/// returns the flight records it logged.
+fn terminate(mut server: Server) -> Vec<RequestRecord> {
     let pid = server.child.id().to_string();
     let status = Command::new("kill")
         .arg(&pid)
@@ -263,6 +302,43 @@ fn terminate(mut server: Server) {
         .unwrap_or_else(|e| fail(&format!("wait: {e}")));
     if !exit.success() {
         fail(&format!("serve exited {exit} after SIGTERM"));
+    }
+    logged_records(server.log)
+}
+
+/// Sends [`PROBE`] held past the SLO objective; it must answer `live`.
+/// Returns its trace id.
+fn slow_probe(addr: SocketAddr, live: &str) -> String {
+    let response = request(addr, "POST", "/v1/recommend", SLOW_PROBE);
+    if response.status != 200 || response.body != live {
+        fail(&format!(
+            "the delayed probe answered {}: {}",
+            response.status, response.body
+        ));
+    }
+    response
+        .header("x-exrec-trace-id")
+        .unwrap_or_else(|| fail("the delayed probe carried no trace id"))
+        .to_owned()
+}
+
+/// Checks the request log of all three lives: exactly one record
+/// carries the delayed probe's trace id, on route `recommend`, and
+/// every record was bad by the SLO as the server counts it.
+fn check_request_log(records: &[RequestRecord], probe_trace: &str) {
+    let probes: Vec<&RequestRecord> = records
+        .iter()
+        .filter(|r| r.trace_id == probe_trace)
+        .collect();
+    if probes.len() != 1 || probes[0].route != "recommend" {
+        fail(&format!(
+            "wanted one logged recommend record for trace {probe_trace}, got {probes:?}"
+        ));
+    }
+    for record in records {
+        if record.status < 500 && record.duration_ns <= SLO_OBJECTIVE_NS {
+            fail(&format!("a request good by the SLO was logged: {record:?}"));
+        }
     }
 }
 
@@ -301,6 +377,7 @@ fn main() {
     eprintln!("[crash_smoke] life 1: SIGKILL (no drain, no compaction)");
     server.child.kill().expect("SIGKILL serve");
     let _ = server.child.wait();
+    let mut logged = logged_records(server.log);
     if exrec_data::wal::snapshot_path(&wal).exists() {
         fail("a SIGKILLed server must not have compacted");
     }
@@ -324,7 +401,7 @@ fn main() {
         fail("crash-replay served different recommendations than the live world");
     }
     eprintln!("[crash_smoke] life 2: identical after replaying {replayed} records; SIGTERM");
-    terminate(server);
+    logged.extend(terminate(server));
     if !exrec_data::wal::snapshot_path(&wal).exists() {
         fail("a clean shutdown must compact the journal");
     }
@@ -371,12 +448,19 @@ fn main() {
     if post_ok(server.addr, "/v1/recommend", PROBE) != live {
         fail("recommendations changed after hostile requests");
     }
-    terminate(server);
+
+    // The request log: a probe held past the objective is logged once.
+    eprintln!("[crash_smoke] life 3: a probe slower than the SLO objective");
+    let probe_trace = slow_probe(server.addr, &live);
+    logged.extend(terminate(server));
+    check_request_log(&logged, &probe_trace);
 
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!(
-        "[crash_smoke] OK: crash-replay == live == clean-shutdown control ({} bytes probed, {:.1}s)",
+        "[crash_smoke] OK: crash-replay == live == clean-shutdown control ({} bytes probed, \
+         logged records: {}, {:.1}s)",
         live.len(),
+        logged.len(),
         started.elapsed().as_secs_f64()
     );
 }

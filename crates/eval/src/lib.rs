@@ -15,7 +15,7 @@
 //! each cited result (who wins, which direction), never absolute values.
 //!
 //! Studies can run sequentially ([`run_all_studies_with`]) or fanned out
-//! over the work-stealing pool from `exrec_algo::batch`
+//! over the batch pool from `exrec_algo::batch`
 //! ([`run_all_studies_with_threads`]); because each study owns its RNG
 //! stream and shares no mutable state, the parallel mode returns
 //! identical reports in canonical order. The `repro` binary exposes this
@@ -154,7 +154,7 @@ pub fn run_all_studies_with(telemetry: &Telemetry) -> Vec<StudyReport> {
 
 /// [`run_all_studies_with`], but fanning independent studies out over
 /// `threads` workers (`0` = available parallelism, `1` = sequential)
-/// using the work-stealing pool from `exrec_algo::batch`.
+/// using the batch pool from `exrec_algo::batch`.
 ///
 /// Studies are internally seed-deterministic and share no mutable state,
 /// so every report is identical to the sequential run and reports come

@@ -25,7 +25,7 @@
 //! Everything is seed-deterministic. Scoring is one walk per model
 //! group: each sampled pair costs one model call, whose evidence feeds
 //! every interface the model serves. [`run`] fans the four walks out
-//! over the work-stealing pool — results are identical at any thread
+//! over the batch pool — results are identical at any thread
 //! count. The `repro --offline-metrics` binary wraps [`run`] and writes
 //! the schema-versioned `quality_report.json`, whose measured fields a
 //! tier-1 test pins bit for bit.

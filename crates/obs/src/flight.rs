@@ -1,11 +1,11 @@
 //! Black-box flight recorder: the last N completed requests, always.
 //!
-//! Tail sampling (PR 7) deliberately drops fast, healthy traces — the
-//! right call for log volume, the wrong one when an incident needs
-//! "what were the last 200 requests this process served?". The
-//! [`FlightRecorder`] answers that: a bounded, lock-striped ring of
-//! completed [`RequestRecord`]s, written by the serving edge for
-//! *every* request regardless of any sampling decision.
+//! A [`RequestRecord`] is a served request's whole account: its trace
+//! id, route, status, duration and per-phase breakdown. The
+//! [`FlightRecorder`] keeps the last N of them in a bounded,
+//! lock-striped ring, written by the serving edge for *every* request,
+//! so an incident can ask "what were the last 200 requests this process
+//! served?".
 //!
 //! * **Lock-striped ring.** Records round-robin over `stripes`
 //!   mutex-guarded deques by sequence number; each stripe holds
@@ -20,6 +20,9 @@
 //!   itself: the watchdog ([`crate::watch::Watchdog`]) dumps the ring to
 //!   stderr once per incident it opens, whether a rule tripped or a
 //!   caught panic was logged as an event.
+//! * **Logged when bad.** [`FlightRecorder::record_logged`] also writes
+//!   one record as it lands, in the dump's line format; the serving
+//!   edge does this for each request that spent SLO error budget.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -167,9 +170,23 @@ impl FlightRecorder {
     /// Appends one completed request, evicting the stripe's oldest
     /// record when full. The record's `seq` field is assigned here;
     /// returns it.
-    pub fn record(&self, mut record: RequestRecord) -> u64 {
+    pub fn record(&self, record: RequestRecord) -> u64 {
+        self.insert(record, None)
+    }
+
+    /// [`FlightRecorder::record`], also writing the record (with its
+    /// `seq`) to `log` as one JSON line in the [`FlightRecorder::dump`]
+    /// format.
+    pub fn record_logged(&self, record: RequestRecord, log: &mut dyn Write) -> u64 {
+        self.insert(record, Some(log))
+    }
+
+    fn insert(&self, mut record: RequestRecord, log: Option<&mut dyn Write>) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         record.seq = seq;
+        if let Some(log) = log {
+            write_line(log, &record);
+        }
         let stripe = &self.stripes[(seq % self.stripes.len() as u64) as usize];
         let mut ring = stripe.lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() == self.per_stripe {
@@ -207,10 +224,8 @@ impl FlightRecorder {
             records.len(),
             self.capacity()
         );
-        for record in records {
-            if let Ok(line) = serde_json::to_string(&record) {
-                let _ = writeln!(w, "{line}");
-            }
+        for record in &records {
+            write_line(w, record);
         }
         let _ = writeln!(w, "[flight] === end dump ({reason}) ===");
     }
@@ -218,6 +233,16 @@ impl FlightRecorder {
     /// [`FlightRecorder::dump`] to stderr.
     pub fn dump_stderr(&self, reason: &str) {
         self.dump(&mut std::io::stderr().lock(), reason);
+    }
+}
+
+/// Writes `record` as one JSON line in a single write, so lines from
+/// concurrent writers to a shared pipe never interleave. Best-effort:
+/// a closed pipe loses the line, not the request.
+fn write_line(w: &mut (impl Write + ?Sized), record: &RequestRecord) {
+    if let Ok(mut line) = serde_json::to_string(record) {
+        line.push('\n');
+        let _ = w.write_all(line.as_bytes());
     }
 }
 
@@ -341,6 +366,25 @@ mod tests {
             .collect();
         assert_eq!(parsed.len(), 4);
         assert!(parsed.iter().all(|r| r.outcome == "timeout"));
+    }
+
+    #[test]
+    fn logged_record_is_the_ring_record_as_a_dump_line() {
+        let recorder = FlightRecorder::default();
+        recorder.record(record_for("recommend", 200));
+        let mut log = Vec::new();
+        let seq = recorder.record_logged(record_for("explain", 504), &mut log);
+        let text = String::from_utf8(log).unwrap();
+        assert_eq!(text.lines().count(), 1, "one line per record: {text}");
+        let logged: RequestRecord = serde_json::from_str(text.trim_end()).unwrap();
+        assert_eq!((logged.seq, seq), (1, 1));
+        let ring = recorder.snapshot();
+        assert_eq!(ring.len(), 2, "the logged record is in the ring too");
+        assert_eq!(
+            serde_json::to_string(&ring[1]).unwrap(),
+            text.trim_end(),
+            "the same bytes a dump would write"
+        );
     }
 
     #[test]

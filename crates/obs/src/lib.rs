@@ -10,32 +10,31 @@
 //! * **spans** — [`Telemetry::span`] / the [`span!`] macro time a named
 //!   region and deliver a structured [`SpanEvent`] to a pluggable
 //!   [`Subscriber`] ([`NoopSubscriber`] by default,
-//!   [`JsonLinesSubscriber`] for structured logs);
+//!   [`JsonLinesSubscriber`] for structured logs). Spans are the offline
+//!   timer; a served request is accounted for by its flight record;
 //! * **[`MetricsReport`]** — a serde-serializable snapshot of every
 //!   registered instrument, rendered by `repro` and the `telemetry`
 //!   example.
 //!
 //! On top of those, the request-centric layers:
 //!
-//! * **tracing** — [`Telemetry::root_span`] starts a request trace
-//!   ([`trace::TraceContext`]: 128-bit trace id, span id, parent id);
-//!   spans opened beneath it nest into a tree, and
-//!   [`trace::current`]/[`trace::install`] carry the context across
-//!   thread boundaries (the batch pool does this for its workers);
-//! * **tail sampling** — [`trace::TailSamplingSubscriber`] buffers
-//!   in-flight traces in a bounded lock-striped ring and flushes only
-//!   the slow, errored, or head-sampled ones to the inner subscriber;
+//! * **request ids** — [`trace::IdSource`] draws each request's
+//!   seedable 128-bit trace id, and [`trace::process_start`] is the zero
+//!   point of every start offset;
 //! * **exposition** — [`promtext::render`] exposes the whole registry
 //!   as Prometheus text exposition 0.0.4;
 //! * **phase profiling** — [`profile::Profiler`] is an always-on
 //!   cooperative profiler: scoped RAII [`profile::phase`] guards nest
 //!   into a per-route tree with atomic self-time/call-count
 //!   aggregation, exported as JSON or collapsed-stack text for
-//!   flamegraph tooling;
+//!   flamegraph tooling. [`profile::current`]/[`profile::install`]
+//!   carry a request's phase context across threads (the batch pool
+//!   does this for its workers);
 //! * **flight recording** — [`flight::FlightRecorder`] is the black
-//!   box: a bounded lock-striped ring of the last N completed request
-//!   records, retained regardless of tail-sampling decisions and
-//!   dumped to stderr once per watchdog incident;
+//!   box and the request trace: a bounded lock-striped ring of the last
+//!   N completed request records, dumped to stderr once per watchdog
+//!   incident; the serving edge also writes each record that was bad
+//!   by the SLO to stderr as it completes;
 //! * **time series** — [`timeseries::TimeSeries`] periodically
 //!   snapshots the whole registry into bounded per-series rings:
 //!   counters become per-interval rates, histograms become
@@ -94,5 +93,5 @@ pub use span::{
     CountingSubscriber, JsonLinesSubscriber, NoopSubscriber, SpanEvent, Subscriber, Telemetry,
 };
 pub use timeseries::{Stat, Tick, TimeSeries, TsConfig, TsSnapshot};
-pub use trace::{IdSource, TailConfig, TailSamplingSubscriber, TraceContext};
+pub use trace::IdSource;
 pub use watch::{Detector, Incident, IncidentLog, Rule, WatchConfig, Watchdog};

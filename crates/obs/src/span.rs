@@ -11,27 +11,20 @@
 //!
 //! Every event carries `start_offset_ns` — monotonic nanoseconds from
 //! the process zero point ([`crate::trace::process_start`]) — so JSON
-//! lines order into a timeline even outside any request. When a
-//! [`crate::trace::TraceContext`] is active on the thread (a request is
-//! being traced), spans additionally carry `trace_id`/`span_id`/
-//! `parent_id` and nest as children of the innermost open span; see the
-//! [`crate::trace`] module for propagation and tail sampling.
+//! lines order into a timeline. Spans are the offline timer (studies,
+//! explainers, benchmarks); a served request's own account is its
+//! flight record ([`crate::flight`]), so the serving edge opens none.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{Metrics, MetricsReport};
-use crate::trace::{self, IdSource, TraceContext};
+use crate::trace;
 
 /// A finished span, as delivered to subscribers.
-///
-/// The three id fields are hex strings (32 chars for `trace_id`, 16 for
-/// the span ids), not integers: the JSON layer round-trips numbers
-/// through `f64`, which would silently corrupt random 64-bit ids above
-/// 2^53. They are `None` for spans emitted outside any request trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanEvent {
     /// Span name, e.g. `"explain"`.
@@ -42,13 +35,6 @@ pub struct SpanEvent {
     pub elapsed_ns: u64,
     /// Monotonic start time, nanoseconds from the process zero point.
     pub start_offset_ns: u64,
-    /// 128-bit trace id as 32 hex chars; `None` when untraced.
-    pub trace_id: Option<String>,
-    /// This span's 64-bit id as 16 hex chars; `None` when untraced.
-    pub span_id: Option<String>,
-    /// Parent span's id as 16 hex chars; `None` at a trace root (and
-    /// when untraced).
-    pub parent_id: Option<String>,
 }
 
 /// Receives finished spans. Implementations must be cheap or buffered:
@@ -194,55 +180,24 @@ impl Telemetry {
     }
 
     /// Opens a timed span; it reports when the guard drops.
-    ///
-    /// If a [`TraceContext`] is active on this thread the span joins
-    /// the trace as a child of the innermost open span; otherwise it is
-    /// untraced, exactly as before tracing existed.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        let ctx = trace::current().map(|parent| {
-            let child = parent.child();
-            trace::push(child.clone());
-            child
-        });
         SpanGuard {
             telemetry: self,
             name,
             fields: Vec::new(),
             started: Instant::now(),
-            duration: None,
-            ctx,
-        }
-    }
-
-    /// Opens a *root* span: starts a fresh trace (new trace id, no
-    /// parent) drawing ids from `ids`, and makes it this thread's
-    /// innermost context so spans opened beneath it become children.
-    /// The serving edge calls this once per request.
-    pub fn root_span(&self, name: &'static str, ids: &Arc<IdSource>) -> SpanGuard<'_> {
-        let ctx = TraceContext::root(ids);
-        trace::push(ctx.clone());
-        SpanGuard {
-            telemetry: self,
-            name,
-            fields: Vec::new(),
-            started: Instant::now(),
-            duration: None,
-            ctx: Some(ctx),
         }
     }
 }
 
 /// Live span handle. Records duration and notifies the subscriber on
-/// drop. Guards must drop in LIFO order on a given thread (the natural
-/// order for scoped guards) for parent links to stay correct.
+/// drop.
 #[derive(Debug)]
 pub struct SpanGuard<'t> {
     telemetry: &'t Telemetry,
     name: &'static str,
     fields: Vec<(String, String)>,
     started: Instant,
-    duration: Option<Duration>,
-    ctx: Option<TraceContext>,
 }
 
 impl SpanGuard<'_> {
@@ -258,50 +213,21 @@ impl SpanGuard<'_> {
         self.started = started;
         self
     }
-
-    /// Fixes the reported duration instead of measuring to drop time —
-    /// for emitting a region whose bounds were both measured externally
-    /// (e.g. queue wait, timed at dequeue but reported inside the
-    /// request's root span).
-    pub fn with_duration(mut self, elapsed: Duration) -> Self {
-        self.duration = Some(elapsed);
-        self
-    }
-
-    /// The trace id this span belongs to, as 32 hex chars; `None` when
-    /// untraced.
-    pub fn trace_id_hex(&self) -> Option<String> {
-        self.ctx.as_ref().map(TraceContext::trace_id_hex)
-    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let elapsed = self.duration.unwrap_or_else(|| self.started.elapsed());
+        let elapsed = self.started.elapsed();
         self.telemetry
             .metrics
             .histogram(&format!("span_ns.{}", self.name))
             .record(elapsed);
-        let (trace_id, span_id, parent_id) = match &self.ctx {
-            Some(ctx) => (
-                Some(ctx.trace_id_hex()),
-                Some(trace::span_id_hex(ctx.span_id)),
-                ctx.parent_id.map(trace::span_id_hex),
-            ),
-            None => (None, None, None),
-        };
         let event = SpanEvent {
             name: self.name.to_owned(),
             fields: std::mem::take(&mut self.fields),
             elapsed_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
             start_offset_ns: trace::offset_ns_of(self.started),
-            trace_id,
-            span_id,
-            parent_id,
         };
-        if let Some(ctx) = self.ctx.take() {
-            trace::pop(ctx.span_id);
-        }
         self.telemetry.subscriber.on_span(&event);
     }
 }
@@ -391,9 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn untraced_spans_carry_start_offset_but_no_ids() {
-        // Regression: spans emitted outside any request context must
-        // still be orderable into a timeline via start_offset_ns.
+    fn spans_carry_start_offsets_that_order_a_timeline() {
         let collector = Arc::new(CountingSubscriber::new());
         let obs = Telemetry::with_subscriber(Arc::clone(&collector) as Arc<dyn Subscriber>);
         let before = trace::process_offset_ns();
@@ -406,82 +330,13 @@ mod tests {
         }
         let events = collector.events();
         assert_eq!(events.len(), 2);
-        for e in &events {
-            assert!(e.trace_id.is_none() && e.span_id.is_none() && e.parent_id.is_none());
-            assert!(e.start_offset_ns >= before);
-        }
+        assert!(events.iter().all(|e| e.start_offset_ns >= before));
         assert!(
             events[1].start_offset_ns > events[0].start_offset_ns,
             "offsets order the timeline: {} !> {}",
             events[1].start_offset_ns,
             events[0].start_offset_ns
         );
-    }
-
-    #[test]
-    fn root_span_starts_a_trace_and_children_nest() {
-        let collector = Arc::new(CountingSubscriber::new());
-        let obs = Telemetry::with_subscriber(Arc::clone(&collector) as Arc<dyn Subscriber>);
-        let ids = Arc::new(IdSource::seeded(11));
-        let expected_trace;
-        {
-            let root = obs.root_span("request", &ids);
-            expected_trace = root.trace_id_hex().unwrap();
-            {
-                let _mid = obs.span("middle");
-                let _leaf = obs.span("leaf");
-            }
-        }
-        assert!(trace::current().is_none(), "stack restored after root");
-        let events = collector.events();
-        // Drop order: leaf, middle, request.
-        assert_eq!(events.len(), 3);
-        let (leaf, mid, root) = (&events[0], &events[1], &events[2]);
-        assert_eq!(root.name, "request");
-        assert_eq!(root.parent_id, None);
-        for e in [leaf, mid, root] {
-            assert_eq!(e.trace_id.as_deref(), Some(expected_trace.as_str()));
-            assert!(e.span_id.is_some());
-        }
-        assert_eq!(mid.parent_id, root.span_id);
-        assert_eq!(leaf.parent_id, mid.span_id);
-    }
-
-    #[test]
-    fn installed_context_parents_spans_across_threads() {
-        let collector = Arc::new(CountingSubscriber::new());
-        let obs = Telemetry::with_subscriber(Arc::clone(&collector) as Arc<dyn Subscriber>);
-        let ids = Arc::new(IdSource::seeded(5));
-        let root = obs.root_span("submit", &ids);
-        // Capture-and-install, the way BatchPool workers do it.
-        let captured = trace::current().unwrap();
-        let parent_span_id = captured.span_id;
-        let obs2 = obs.clone();
-        std::thread::spawn(move || {
-            let _g = trace::install(captured);
-            let _span = obs2.span("worker");
-        })
-        .join()
-        .unwrap();
-        drop(root);
-        let worker = collector
-            .events()
-            .into_iter()
-            .find(|e| e.name == "worker")
-            .unwrap();
-        assert_eq!(worker.parent_id, Some(trace::span_id_hex(parent_span_id)));
-    }
-
-    #[test]
-    fn with_duration_overrides_measured_elapsed() {
-        let collector = Arc::new(CountingSubscriber::new());
-        let obs = Telemetry::with_subscriber(Arc::clone(&collector) as Arc<dyn Subscriber>);
-        {
-            let _span = obs
-                .span("queue_wait")
-                .with_duration(Duration::from_nanos(12_345));
-        }
-        assert_eq!(collector.events()[0].elapsed_ns, 12_345);
     }
 
     #[test]
@@ -526,9 +381,6 @@ mod tests {
             fields: Vec::new(),
             elapsed_ns: 1,
             start_offset_ns: 0,
-            trace_id: None,
-            span_id: None,
-            parent_id: None,
         };
         shared.on_span(&event);
         let text = String::from_utf8(shared.snapshot()).unwrap();

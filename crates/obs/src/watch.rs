@@ -43,6 +43,13 @@ pub const BURN_MIN_REQUESTS: u64 = 10;
 /// Span of ticks an SLO standing (good, total, burn) is read over.
 pub const SLO_WINDOW_NS: u64 = 60_000_000_000;
 
+/// Floor under a [`Detector::ZScore`] rule's standard deviation, as a
+/// fraction of its EWMA mean. Histogram percentiles are power-of-two
+/// bucket bounds, so the smallest move of a steady p99 is 2×: at a
+/// quarter of the mean one bucket up reads z = 4 and two buckets z = 12,
+/// either side of the serving edge's default factor of 6.
+const ZSCORE_FLOOR: f64 = 0.25;
+
 /// Error-budget burn rate of `bad` out of `total` requests against a
 /// `target` good ratio: `(bad / total) / (1 - target)`. Burn 1 spends
 /// exactly the budget; an empty window burns nothing.
@@ -432,8 +439,8 @@ impl Watchdog {
                 let warm = rs.samples >= *min_samples;
                 let sd = rs.ewma_var.max(0.0).sqrt();
                 // Floor the deviation so a perfectly flat warmup series
-                // (sd = 0) doesn't trip on the first real sample.
-                let floor = (rs.ewma_mean.abs() * 0.05).max(1e-9);
+                // (sd = 0) doesn't trip on a one-bucket step.
+                let floor = (rs.ewma_mean.abs() * ZSCORE_FLOOR).max(1e-9);
                 let z = (value - rs.ewma_mean) / sd.max(floor);
                 let anomalous = warm && z > *factor;
                 // Track the signal only while it is normal, so the trip
@@ -667,6 +674,43 @@ mod tests {
         let incident = &w.incidents()[0];
         assert_eq!(incident.kind, "zscore");
         assert_eq!(incident.opened_epoch, 31);
+    }
+
+    #[test]
+    fn zscore_waits_out_a_one_bucket_p99_step() {
+        // A steady p99 at 2^20 ns through warm-up, then a step of one
+        // or two power-of-two buckets, at the serving edge's defaults.
+        let opened = |step_ns: u64| {
+            let w = Watchdog::new(
+                WatchConfig::default(),
+                vec![Rule {
+                    name: "latency_drift".to_owned(),
+                    metric: "h".to_owned(),
+                    stat: Stat::P99,
+                    detector: Detector::ZScore {
+                        factor: 6.0,
+                        min_samples: 12,
+                    },
+                    evidence: None,
+                }],
+            );
+            let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+            let mut ticks = Vec::new();
+            for epoch in 1..=17 {
+                // Just under a bucket bound, so p99 reads the bound.
+                let ns = if epoch <= 12 { 1 << 20 } else { step_ns };
+                (0..10).for_each(|_| m.histogram("h").record_ns(ns - 1));
+                let tick = ts.sample_at(&m, epoch * SEC);
+                assert_eq!(tick.value("h", Stat::P99), Some(ns as f64));
+                ticks.push(w.observe(&tick).len());
+            }
+            ticks
+        };
+        assert_eq!(opened(1 << 21), vec![0; 17], "one bucket up is noise");
+        let trip_after = WatchConfig::default().trip_after as usize;
+        let mut expected = vec![0; 17];
+        expected[12 + trip_after - 1] = 1;
+        assert_eq!(opened(1 << 22), expected, "two buckets up is drift");
     }
 
     #[test]

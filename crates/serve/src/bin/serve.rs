@@ -13,10 +13,9 @@
 //!       [--pool-threads N]    intra-request batch threads (default: cores)
 //!       [--exact]             exact tiled scan instead of the pruned index
 //!       [--fault-injection]   honour inject_panic/inject_delay_ms (tests)
-//!       [--trace-slow-ms T]   tail-sample traces slower than T ms (default 500)
-//!       [--trace-sample N]    also head-sample 1/N of all traces (default 0 = off)
 //!       [--trace-seed S]      seed the trace id stream (deterministic ids)
-//!       [--slo-ms L]          latency objective of the SLO burn rules (default 250)
+//!       [--slo-ms L]          latency objective of the SLO burn rules and of
+//!                             the request log (default 250)
 //!       [--slo-target F]      target good ratio of the burn rules (default 0.99)
 //!       [--debug-endpoints]   serve GET /debug/{profile,requests,world,quality,
 //!                             ingest,timeseries,incidents}
@@ -37,21 +36,21 @@
 //!       [--fsync]             fsync the WAL on every append
 //! ```
 //!
-//! Sampled traces are written to stderr as JSON lines (one span per
-//! line, correlated by `trace_id`). Runs until SIGTERM or ctrl-c
-//! (SIGINT), then drains gracefully: stops admitting, finishes queued
-//! and in-flight requests, closes the listener, and prints the final
-//! telemetry report and per-route SLO standing over the last minute of
-//! sampler ticks to stderr.
+//! Every request bad by the SLO (a 5xx, or slower than `--slo-ms`) has
+//! its flight record written to stderr as one JSON line, in the format
+//! of the watchdog's flight dumps and of `GET /debug/requests`; its
+//! `trace_id` is the response's `x-exrec-trace-id`.
+//!
+//! Runs until SIGTERM or ctrl-c (SIGINT), then drains gracefully: stops
+//! admitting, finishes queued and in-flight requests, closes the
+//! listener, and prints the final telemetry report and per-route SLO
+//! standing over the last minute of sampler ticks to stderr.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use exrec_core::interfaces::InterfaceId;
-use exrec_obs::{
-    JsonLinesSubscriber, Metrics, Subscriber, TailConfig, TailSamplingSubscriber, Telemetry,
-};
+use exrec_obs::Telemetry;
 use exrec_serve::app::{AppConfig, ExplainApp};
 use exrec_serve::server::{self, ServerConfig};
 
@@ -88,8 +87,7 @@ fn usage() -> ! {
     eprintln!("usage: serve [--port P] [--workers N] [--queue-bound N] [--deadline-ms D]");
     eprintln!("             [--idle-ms I] [--users N] [--items N] [--density F]");
     eprintln!("             [--interface KEY] [--pool-threads N] [--exact] [--fault-injection]");
-    eprintln!("             [--trace-slow-ms T] [--trace-sample N] [--trace-seed S]");
-    eprintln!("             [--slo-ms L] [--slo-target F]");
+    eprintln!("             [--trace-seed S] [--slo-ms L] [--slo-target F]");
     eprintln!("             [--debug-endpoints] [--flight-capacity N]");
     eprintln!("             [--quality-sample N] [--quality-pairs N]");
     eprintln!("             [--wal-path PATH] [--fsync]");
@@ -145,19 +143,11 @@ fn main() {
     let mut port: u16 = 8787;
     let mut app_config = AppConfig::default();
     let mut server_config = ServerConfig::default();
-    let mut tail_config = TailConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--port" => port = parse("--port", args.next()),
-            "--trace-slow-ms" => {
-                let ms: u64 = parse("--trace-slow-ms", args.next());
-                tail_config.slow_threshold_ns = ms.saturating_mul(1_000_000);
-            }
-            "--trace-sample" => {
-                tail_config.head_sample_every = parse("--trace-sample", args.next())
-            }
             "--trace-seed" => server_config.trace_seed = Some(parse("--trace-seed", args.next())),
             "--slo-ms" => {
                 let ms: u64 = parse("--slo-ms", args.next());
@@ -231,19 +221,13 @@ fn main() {
     }
     server_config.addr = format!("127.0.0.1:{port}");
 
-    // Anchor the trace/flight zero point before any request arrives so
+    // Anchor the flight zero point before any request arrives so
     // `start_offset_ns` values count from process start.
     exrec_obs::trace::process_start();
     install_signal_handlers();
 
-    // Sampled traces stream to stderr as JSON lines; the tail sampler
-    // in front keeps only slow/errored/head-sampled traces and counts
-    // its decisions under trace.*.
-    let metrics = Arc::new(Metrics::new());
-    let sink = Arc::new(JsonLinesSubscriber::new(std::io::stderr()));
-    let tail = TailSamplingSubscriber::new(sink as Arc<dyn Subscriber>, tail_config)
-        .with_metrics(&metrics);
-    let telemetry = Telemetry::new(metrics, Arc::new(tail));
+    // No span subscriber: a request's account is its flight record.
+    let telemetry = Telemetry::default();
     eprintln!(
         "[serve] generating world: {} users x {} items @ density {}",
         app_config.n_users, app_config.n_items, app_config.density

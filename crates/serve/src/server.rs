@@ -25,7 +25,7 @@
 //!   [`ServerHandle::join`] returns.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,8 +39,8 @@ use exrec_obs::watch::{
     burn_rate, tick_burn, Detector, Rule, WatchConfig, Watchdog, SLO_WINDOW_NS,
 };
 use exrec_obs::{
-    promtext, trace, FlightConfig, FlightRecorder, IdSource, IngestRecord, QualitySnapshot,
-    RequestRecord, RunMeta, Telemetry, TimeSeries, TsConfig,
+    promtext, trace, Counter, FlightConfig, FlightRecorder, IdSource, IngestRecord,
+    QualitySnapshot, RequestRecord, RunMeta, Telemetry, TimeSeries, TsConfig,
 };
 
 use exrec_core::aims::Aim;
@@ -75,7 +75,7 @@ pub struct ServerConfig {
     /// Largest accepted request body, bytes.
     pub max_body_bytes: usize,
     /// Seed for the trace id stream; `None` seeds from entropy. Fixing
-    /// it makes test traces deterministic.
+    /// it makes test trace ids deterministic.
     pub trace_seed: Option<u64>,
     /// Serve the `GET /debug/*` introspection surface. Off by default:
     /// the endpoints expose request payloads' shape and timings.
@@ -120,7 +120,8 @@ pub struct WatchTuning {
     pub error_rate_max: f64,
     /// Ceiling on `serve.shed` per second.
     pub shed_rate_max: f64,
-    /// Latency objective, nanoseconds: a slower request is bad.
+    /// Latency objective, nanoseconds: a slower request is bad, and its
+    /// flight record is written to stderr.
     pub slo_objective_ns: u64,
     /// Target good ratio; `1 - slo_target` is the error budget, so a
     /// target of 0 never trips a burn rule.
@@ -275,6 +276,24 @@ fn slo_bad(status: u16, took_ns: u64, objective_ns: u64) -> bool {
     status >= 500 || took_ns > objective_ns
 }
 
+/// Files a completed request in the flight ring and, when it was bad by
+/// the SLO, also writes its record to `log` as one JSON line in the
+/// flight dump's format. Returns whether it was bad.
+fn file_record(
+    flight: &FlightRecorder,
+    record: RequestRecord,
+    objective_ns: u64,
+    log: &mut dyn Write,
+) -> bool {
+    let bad = slo_bad(record.status, record.duration_ns, objective_ns);
+    if bad {
+        flight.record_logged(record, log);
+    } else {
+        flight.record(record);
+    }
+    bad
+}
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -309,8 +328,11 @@ struct Shared {
     queue: Bounded<Conn>,
     draining: AtomicBool,
     started_at: Instant,
-    /// Source of trace/span ids for request root spans.
-    ids: Arc<IdSource>,
+    /// Source of the per-request trace ids.
+    ids: IdSource,
+    /// `trace.flushed`: flight records written to stderr because the
+    /// request was bad by the SLO.
+    flushed: Counter,
     /// Workers currently executing a request (not blocked on the queue).
     busy: AtomicUsize,
     /// Always-on phase profiler (`GET /debug/profile`).
@@ -379,10 +401,11 @@ pub fn start(
     );
     let shared = Arc::new(Shared {
         queue: Bounded::new(config.queue_bound),
-        ids: Arc::new(match config.trace_seed {
+        ids: match config.trace_seed {
             Some(seed) => IdSource::seeded(seed),
             None => IdSource::default(),
-        }),
+        },
+        flushed: telemetry.metrics().counter("trace.flushed"),
         busy: AtomicUsize::new(0),
         profiler: Arc::new(Profiler::new()),
         flight,
@@ -720,8 +743,8 @@ fn serve_connection(shared: &Shared, conn: Conn) {
     // The first request's deadline starts at admission: time spent in
     // the queue is part of the latency the client observes. The wait
     // itself (admission → this worker popping the connection) is
-    // captured here and reported as the first request's
-    // `serve.queue_wait` child span.
+    // captured here and reported as the first request's `queue_wait`
+    // phase.
     let mut request_start = Some(conn.admitted_at);
     let mut queue_wait = Some(conn.admitted_at.elapsed());
 
@@ -751,24 +774,8 @@ fn serve_connection(shared: &Shared, conn: Conn) {
                 return;
             }
             Ok(Some(request)) => {
-                // Root span of the request's trace, backdated to
-                // admission so queue wait is inside the root (and counts
-                // toward the tail sampler's slow threshold).
-                let root = shared
-                    .telemetry
-                    .root_span("serve.request", &shared.ids)
-                    .started_at(started);
-                let trace_hex = root.trace_id_hex().unwrap_or_default();
+                let trace_hex = trace::trace_id_hex(shared.ids.next_trace_id());
                 let wait = queue_wait.take();
-                if let Some(wait) = wait {
-                    // Emitted as a zero-width child covering the queue
-                    // time that already elapsed before this loop.
-                    let _qw = shared
-                        .telemetry
-                        .span("serve.queue_wait")
-                        .started_at(conn.admitted_at)
-                        .with_duration(wait);
-                }
                 let collector = Arc::new(PhaseCollector::new());
                 let busy_gauge = metrics.gauge("serve.busy_workers");
                 shared.busy.fetch_add(1, Ordering::Relaxed);
@@ -791,16 +798,6 @@ fn serve_connection(shared: &Shared, conn: Conn) {
                         .record_external(endpoint, "parse", parse_took);
                     collector.add("parse", parse_took);
                 }
-                // Annotate the root so the tail sampler can keep errored
-                // traces, then drop it: the full trace is flushed (or
-                // discarded) before the client sees the response.
-                let mut root = root
-                    .field("endpoint", endpoint)
-                    .field("status", response.status);
-                if response.status >= 500 {
-                    root = root.field("error", format!("http_{}", response.status));
-                }
-                drop(root);
                 let response = response.with_header("x-exrec-trace-id", trace_hex.clone());
                 let keep_alive =
                     request.wants_keep_alive() && !shared.draining.load(Ordering::SeqCst);
@@ -828,10 +825,11 @@ fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Records the per-request metrics every endpoint shares, counts the
-/// request against the route's SLO when it is bad, and writes the
-/// request into the flight recorder. The burn rules judge those series
-/// on the next tick.
+/// Records the per-request metrics every endpoint shares and files the
+/// request's flight record, before the client sees the response. A
+/// request bad by the SLO is counted against its route (the burn rules
+/// judge that series on the next tick) and its record is written to
+/// stderr, counted in `trace.flushed`.
 #[allow(clippy::too_many_arguments)]
 fn record(
     shared: &Shared,
@@ -851,7 +849,7 @@ fn record(
     metrics
         .counter(&format!("serve.status.{}xx", status / 100))
         .incr();
-    shared.flight.record(RequestRecord {
+    let record = RequestRecord {
         seq: 0,
         trace_id: trace_hex.to_owned(),
         route: endpoint.to_owned(),
@@ -862,10 +860,11 @@ fn record(
         phases: collector.phases(),
         quality: collector.quality(),
         ingest,
-    });
+    };
     let objective_ns = shared.config.watch.slo_objective_ns;
-    if slo_bad(status, duration_ns(took), objective_ns) {
+    if file_record(&shared.flight, record, objective_ns, &mut io::stderr()) {
         metrics.counter(&format!("slo.bad.{endpoint}")).incr();
+        shared.flushed.incr();
     }
     // Busy traffic drives the sampler from the request path too, so
     // tick cadence never depends on a worker going idle.
@@ -1397,5 +1396,42 @@ mod tests {
         assert!(slo_bad(500, 50_000, OBJECTIVE_NS), "errored");
         assert!(slo_bad(504, 50_000, OBJECTIVE_NS), "timed out");
         assert!(!slo_bad(404, 50_000, OBJECTIVE_NS), "a 4xx is good");
+    }
+
+    #[test]
+    fn only_requests_bad_by_the_slo_are_logged() {
+        const OBJECTIVE_NS: u64 = 100_000;
+        let flight = FlightRecorder::default();
+        let mut log = Vec::new();
+        let cases = [
+            (500, 1_000, true),
+            (200, OBJECTIVE_NS + 1, true),
+            (200, OBJECTIVE_NS, false),
+            (404, 2_000, false),
+        ];
+        for (status, duration_ns, bad) in cases {
+            let record = RequestRecord {
+                seq: 0,
+                trace_id: trace::trace_id_hex(1),
+                route: "recommend".to_owned(),
+                status,
+                outcome: RequestRecord::outcome_of(status).to_owned(),
+                start_offset_ns: 0,
+                duration_ns,
+                phases: Vec::new(),
+                quality: None,
+                ingest: None,
+            };
+            let logged = file_record(&flight, record, OBJECTIVE_NS, &mut log);
+            assert_eq!(logged, bad, "status {status}, {duration_ns} ns");
+        }
+        assert_eq!(flight.recorded(), 4, "every request is in the ring");
+        let logged: Vec<(u16, u64)> = String::from_utf8(log)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str::<RequestRecord>(line).expect("a flight record"))
+            .map(|r| (r.status, r.duration_ns))
+            .collect();
+        assert_eq!(logged, vec![(500, 1_000), (200, OBJECTIVE_NS + 1)]);
     }
 }

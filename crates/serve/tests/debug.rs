@@ -1,14 +1,12 @@
 //! Integration tests for the `/debug/*` introspection surface, the
 //! always-on phase profiler and the request flight recorder, over real
 //! loopback sockets: gating, profile completeness (phases must account
-//! for ≥90% of measured wall time), collapsed-stack export, and flight
-//! records surviving the tail sampler's drop decisions.
+//! for ≥90% of measured wall time), collapsed-stack export, and the
+//! flight ring keeping the requests that were not logged.
 
 mod common;
 
-use std::sync::Arc;
-
-use exrec_obs::{CountingSubscriber, Subscriber, TailConfig, TailSamplingSubscriber, Telemetry};
+use exrec_obs::Telemetry;
 use exrec_serve::app::AppConfig;
 use exrec_serve::client::{self, Connection};
 use exrec_serve::proto::{DebugProfileBody, DebugRequestsBody, DebugWorldBody, HealthResponse};
@@ -180,21 +178,14 @@ fn debug_profile_exports_route_tree_and_collapsed_stacks() {
 }
 
 #[test]
-fn flight_records_survive_tail_sampler_drop() {
-    // A tail sampler that drops everything: nothing is slow enough to
-    // flush and head sampling is off. The flight recorder must retain
-    // the requests anyway — that is its reason to exist.
-    let sink = Arc::new(CountingSubscriber::new());
-    let tail = TailSamplingSubscriber::new(
-        Arc::clone(&sink) as Arc<dyn Subscriber>,
-        TailConfig {
-            slow_threshold_ns: u64::MAX,
-            head_sample_every: 0,
-            ..TailConfig::default()
-        },
-    );
-    let telemetry = Telemetry::with_subscriber(Arc::new(tail));
-    let handle = common::start_server(telemetry, |server, _| server.debug_endpoints = true);
+fn flight_ring_keeps_requests_that_were_not_logged() {
+    // An objective no request can miss: nothing is logged to stderr.
+    // The flight recorder must retain the requests anyway — that is its
+    // reason to exist.
+    let handle = start_server(|server, _| {
+        server.debug_endpoints = true;
+        server.watch.slo_objective_ns = u64::MAX;
+    });
     let addr = handle.addr();
 
     let mut client = Connection::open(addr).unwrap();
@@ -205,11 +196,9 @@ fn flight_records_survive_tail_sampler_drop() {
         assert_eq!(response.status, 200);
     }
 
-    // The sampler dropped every trace…
-    assert!(
-        sink.events().is_empty(),
-        "fast clean traces should have been dropped by the tail sampler"
-    );
+    // No record was logged…
+    let flushed = handle.telemetry().metrics().counter("trace.flushed");
+    assert_eq!(flushed.get(), 0, "fast clean requests are not logged");
     // …but the flight recorder kept every request, untorn.
     let response = client.roundtrip("GET", "/debug/requests", "").unwrap();
     assert_eq!(response.status, 200);
@@ -223,7 +212,7 @@ fn flight_records_survive_tail_sampler_drop() {
     for record in recommends {
         assert_eq!(record.status, 200);
         assert_eq!(record.outcome, "ok");
-        assert!(!record.trace_id.is_empty(), "trace id retained after drop");
+        assert!(!record.trace_id.is_empty(), "trace id retained unlogged");
         assert!(record.duration_ns > 0);
     }
     // The in-process view agrees with the HTTP view.

@@ -12,6 +12,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
+use exrec_obs::quality::QUALITY_FILL;
 use exrec_obs::Telemetry;
 use exrec_serve::app::{AppConfig, Deadline, ExplainApp};
 use exrec_serve::client::{self, Connection};
@@ -412,6 +413,19 @@ fn a_real_quality_drop_latches_one_incident() {
     let addr = handle.addr();
     let mut client = Connection::open(addr).unwrap();
 
+    // Fill: the rule judges the interface's rolling score only once its
+    // window holds QUALITY_FILL samples, so all but one come up front.
+    let fill: Pairs = high
+        .iter()
+        .copied()
+        .cycle()
+        .take(QUALITY_FILL - 1)
+        .collect();
+    assert_eq!(
+        explain_pairs(&mut client, Some(interface), fill.iter().copied()),
+        fill.len()
+    );
+
     // Arm: one high sample in each of the rule's healthy warm-up ticks.
     let warmup = ServerConfig::default().watch.warmup_ticks;
     let arm = &high[..warmup as usize];
@@ -422,11 +436,13 @@ fn a_real_quality_drop_latches_one_incident() {
     let health: HealthResponse = get_json(addr, "/healthz");
     assert_eq!(health.status, "ok", "{:?}", health.quality);
 
-    // The drop: forty low samples over twenty ticks pull the rolling
-    // mean under 0.25 and hold it there.
+    // The drop: low samples over twenty ticks, enough to replace every
+    // high one in the 128-sample window, pull the rolling mean under
+    // 0.25 and hold it there.
+    let drop: Pairs = low.iter().copied().cycle().take(128).collect();
     assert_eq!(
-        explain_across_ticks(&handle, &mut client, Some(interface), &low[..40], 20),
-        40
+        explain_across_ticks(&handle, &mut client, Some(interface), &drop, 20),
+        drop.len()
     );
     let deadline = Instant::now() + Duration::from_secs(30);
     while get_json::<HealthResponse>(addr, "/healthz").status != "degraded" {

@@ -1,12 +1,11 @@
-//! Tracing and SLO integration tests over real loopback sockets: the
-//! acceptance behaviours of the request-scoped tracing layer.
+//! Request-record and SLO integration tests over real loopback sockets.
 //!
-//! * A traced `POST /v1/recommend` reconstructs as a complete span tree
-//!   (edge → queue → batch worker → explainer) from the flushed trace,
-//!   and the `x-exrec-trace-id` response header carries the tree's id;
-//!   a traced `POST /v1/explain` carries its one evidence call.
-//! * A fast request below the tail threshold flushes nothing while the
-//!   `slo.*` window gauges still advance on the next sampler tick.
+//! * A request bad by the SLO has its flight record written to stderr
+//!   (counted in `trace.flushed`); the record in `/debug/requests`
+//!   carries the response's `x-exrec-trace-id`, and its phases cover
+//!   the edge, the batch pool's workers and the explainer.
+//! * A fast request under the objective logs nothing while the `slo.*`
+//!   window gauges still advance on the next sampler tick.
 //! * `/healthz` exposes backpressure (queue/worker saturation) and the
 //!   per-route SLO standing, turning `degraded` while a route's
 //!   fast-burn rule stands and `ok` again once it clears.
@@ -14,177 +13,93 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use exrec_obs::{
-    CountingSubscriber, Metrics, SpanEvent, Subscriber, TailConfig, TailSamplingSubscriber,
-    Telemetry,
-};
+use exrec_obs::{RequestRecord, Telemetry};
 use exrec_serve::client::{self, Connection};
-use exrec_serve::proto::HealthResponse;
+use exrec_serve::proto::{DebugRequestsBody, HealthResponse};
 use exrec_serve::server::{ServerConfig, ServerHandle};
 
-/// Starts a server whose subscriber is a tail sampler in front of a
-/// collector, returning both.
-fn start_traced(
-    tail: TailConfig,
-    configure: impl FnOnce(&mut ServerConfig),
-) -> (ServerHandle, Arc<CountingSubscriber>, Telemetry) {
-    let collector = Arc::new(CountingSubscriber::new());
-    let metrics = Arc::new(Metrics::new());
-    let sampler = TailSamplingSubscriber::new(Arc::clone(&collector) as Arc<dyn Subscriber>, tail)
-        .with_metrics(&metrics);
-    let telemetry = Telemetry::new(metrics, Arc::new(sampler));
+/// Starts a server with seeded trace ids and a two-thread batch pool,
+/// returning it with its telemetry.
+fn start_traced(configure: impl FnOnce(&mut ServerConfig)) -> (ServerHandle, Telemetry) {
+    let telemetry = Telemetry::default();
     let handle = common::start_server(telemetry.clone(), |server, app| {
         server.trace_seed = Some(42);
         app.pool_threads = 2;
         configure(server);
     });
-    (handle, collector, telemetry)
+    (handle, telemetry)
 }
 
-/// The spans of one trace, keyed for tree checks.
-fn trace_spans(events: &[SpanEvent], trace_hex: &str) -> Vec<SpanEvent> {
-    events
-        .iter()
-        .filter(|e| e.trace_id.as_deref() == Some(trace_hex))
-        .cloned()
-        .collect()
-}
-
-#[test]
-fn recommend_request_reconstructs_as_one_span_tree() {
-    // Threshold 0: every completed trace flushes.
-    let (handle, collector, _telemetry) = start_traced(
-        TailConfig {
-            slow_threshold_ns: 0,
-            ..TailConfig::default()
-        },
-        |_| {},
-    );
-
-    let response = client::request(
-        handle.addr(),
-        "POST",
-        "/v1/recommend",
-        &[],
-        r#"{"users": [0, 1, 2, 3], "n": 3, "explain": true}"#,
-    )
-    .unwrap();
+/// Sends `body` to `path` on a fresh connection and returns the
+/// response's trace id, checking that exactly one record was logged.
+fn logged_request(handle: &ServerHandle, path: &str, body: &str) -> String {
+    let flushed = handle.telemetry().metrics().counter("trace.flushed");
+    let before = flushed.get();
+    let response = client::request(handle.addr(), "POST", path, &[], body).unwrap();
     assert_eq!(response.status, 200, "body: {}", response.body);
+    assert_eq!(flushed.get(), before + 1, "{path} logged its record");
     let trace_hex = response
         .header("x-exrec-trace-id")
         .expect("every routed response carries its trace id")
         .to_owned();
     assert_eq!(trace_hex.len(), 32, "128-bit id as 32 hex chars");
     assert!(trace_hex.chars().all(|c| c.is_ascii_hexdigit()));
+    trace_hex
+}
 
-    let spans = trace_spans(&collector.events(), &trace_hex);
-    assert!(
-        !spans.is_empty(),
-        "trace must have flushed before the response"
+/// The phase paths of the resident record with `trace_id`.
+fn phases_of(records: &[RequestRecord], trace_id: &str) -> Vec<String> {
+    let matching: Vec<&RequestRecord> = records.iter().filter(|r| r.trace_id == trace_id).collect();
+    assert_eq!(matching.len(), 1, "one record per trace id");
+    matching[0].phases.iter().map(|(p, _)| p.clone()).collect()
+}
+
+#[test]
+fn bad_requests_are_logged_as_their_flight_records() {
+    // Objective 0 ns: every request is bad and logged. Target 0: no
+    // error budget to burn, so no burn rule trips.
+    let (handle, _telemetry) = start_traced(|server| {
+        server.debug_endpoints = true;
+        server.watch.slo_objective_ns = 0;
+        server.watch.slo_target = 0.0;
+    });
+
+    let recommend = logged_request(
+        &handle,
+        "/v1/recommend",
+        r#"{"users": [0, 1, 2, 3], "n": 3, "explain": true}"#,
     );
+    let explain = logged_request(&handle, "/v1/explain", r#"{"user": 0, "item": 1}"#);
 
-    // Exactly one root, and it is the edge's request span.
-    let roots: Vec<&SpanEvent> = spans.iter().filter(|s| s.parent_id.is_none()).collect();
-    assert_eq!(roots.len(), 1, "one root span per request");
-    let root = roots[0];
-    assert_eq!(root.name, "serve.request");
-    assert!(root
-        .fields
-        .iter()
-        .any(|(k, v)| k == "endpoint" && v == "recommend"));
-    assert!(root.fields.iter().any(|(k, v)| k == "status" && v == "200"));
+    let response = client::request(handle.addr(), "GET", "/debug/requests", &[], "").unwrap();
+    assert_eq!(response.status, 200);
+    let body: DebugRequestsBody = serde_json::from_str(&response.body).unwrap();
 
-    // Parent links form a tree rooted at the root span: every non-root
-    // parent id resolves to a span in the same trace.
-    let ids: std::collections::BTreeSet<&str> =
-        spans.iter().filter_map(|s| s.span_id.as_deref()).collect();
-    assert_eq!(ids.len(), spans.len(), "span ids are unique");
-    for span in &spans {
-        if let Some(parent) = span.parent_id.as_deref() {
-            assert!(
-                ids.contains(parent),
-                "span {} has dangling parent {parent}",
-                span.name
-            );
-        }
+    // The recommend's record covers the edge (queue wait and parse on a
+    // fresh connection), admission, and the scans the batch pool's
+    // workers ran under the request's phase context.
+    let phases = phases_of(&body.requests, &recommend);
+    for phase in ["queue_wait", "parse", "handle;admit"] {
+        assert!(phases.iter().any(|p| p == phase), "{phase}: {phases:?}");
     }
-
-    // The tree covers every pipeline stage: edge → queue → batch
-    // worker → explainer evidence.
-    let by_name =
-        |name: &str| -> Vec<&SpanEvent> { spans.iter().filter(|s| s.name == name).collect() };
-    let queue_wait = by_name("serve.queue_wait");
-    assert_eq!(queue_wait.len(), 1, "first request on the connection");
-    assert_eq!(queue_wait[0].parent_id, root.span_id);
-    let batch = by_name("batch");
-    assert!(!batch.is_empty(), "batch span under the request");
-    for b in &batch {
-        assert_eq!(b.parent_id, root.span_id, "batch hangs off the edge span");
-    }
-    let explained = by_name("recommend_explained");
     assert!(
-        !explained.is_empty(),
-        "explainer spans crossed the worker-thread boundary"
+        phases.iter().any(|p| p.starts_with("handle;scan")),
+        "pool workers' scans: {phases:?}"
     );
-    let batch_ids: std::collections::BTreeSet<&str> =
-        batch.iter().filter_map(|s| s.span_id.as_deref()).collect();
-    for e in &explained {
-        assert!(
-            batch_ids.contains(e.parent_id.as_deref().unwrap()),
-            "recommend_explained parents onto a batch span"
-        );
-    }
     // The ranking hands every item its neighbourhood, so an explained
     // recommend gathers no evidence of its own.
     assert!(
-        by_name("explain.evidence").is_empty(),
-        "ranked items reuse the ranking's evidence"
+        !phases.iter().any(|p| p.contains("evidence")),
+        "ranked items reuse the ranking's evidence: {phases:?}"
     );
 
-    // Timeline: children start at or after the root's start offset.
-    for span in &spans {
-        assert!(
-            span.start_offset_ns >= root.start_offset_ns,
-            "{} starts before its root",
-            span.name
-        );
-    }
-
-    // The root flushes last (tail sampling forwards buffered children
-    // first), so a consumer can key the flush on root arrival.
-    assert_eq!(spans.last().unwrap().name, "serve.request");
-
-    // A single-pair explain gathers its evidence in one timed model
-    // call, and that call appears in the explain's own tree.
-    let response = client::request(
-        handle.addr(),
-        "POST",
-        "/v1/explain",
-        &[],
-        r#"{"user": 0, "item": 1}"#,
-    )
-    .unwrap();
-    assert_eq!(response.status, 200, "body: {}", response.body);
-    let explain_hex = response
-        .header("x-exrec-trace-id")
-        .expect("every routed response carries its trace id")
-        .to_owned();
-    let explain_spans = trace_spans(&collector.events(), &explain_hex);
-    let explain_ids: std::collections::BTreeSet<&str> = explain_spans
-        .iter()
-        .filter_map(|s| s.span_id.as_deref())
-        .collect();
-    let evidence: Vec<&SpanEvent> = explain_spans
-        .iter()
-        .filter(|s| s.name == "explain.evidence")
-        .collect();
-    assert_eq!(evidence.len(), 1, "one evidence call per explain");
+    // A single-pair explain gathers its evidence in one timed call.
+    let phases = phases_of(&body.requests, &explain);
     assert!(
-        explain_ids.contains(evidence[0].parent_id.as_deref().unwrap()),
-        "evidence hangs off the explain's tree"
+        phases.iter().any(|p| p.ends_with("evidence")),
+        "the explain's evidence: {phases:?}"
     );
 
     handle.shutdown();
@@ -192,16 +107,8 @@ fn recommend_request_reconstructs_as_one_span_tree() {
 
 #[test]
 fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
-    // Threshold effectively infinite, head sampling off: nothing earns
-    // a flush.
-    let (handle, collector, telemetry) = start_traced(
-        TailConfig {
-            slow_threshold_ns: u64::MAX,
-            head_sample_every: 0,
-            ..TailConfig::default()
-        },
-        |server| server.ts.interval_ns = 20_000_000,
-    );
+    // The default 250 ms objective: a fast request is not logged.
+    let (handle, telemetry) = start_traced(|server| server.ts.interval_ns = 20_000_000);
 
     let response = client::request(
         handle.addr(),
@@ -212,22 +119,12 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
     )
     .unwrap();
     assert_eq!(response.status, 200, "body: {}", response.body);
-    // The trace id is still minted and returned even when the trace is
-    // ultimately dropped — clients can always correlate.
-    let trace_hex = response.header("x-exrec-trace-id").unwrap().to_owned();
+    // The trace id is still minted and returned even when the record
+    // is not logged — clients can always correlate.
+    assert!(response.header("x-exrec-trace-id").is_some());
 
-    // No traced span reached the subscriber behind the sampler.
-    let events = collector.events();
-    assert!(
-        events.iter().all(|e| e.trace_id.is_none()),
-        "fast clean traces are dropped wholesale"
-    );
-    assert!(events
-        .iter()
-        .all(|e| e.trace_id.as_deref() != Some(trace_hex.as_str())));
-
-    // But the drop counter advanced, and the next tick refreshes the
-    // SLO window gauges from the sampler's rings.
+    // The next tick refreshes the SLO window gauges from the sampler's
+    // rings.
     let total = telemetry.metrics().gauge("slo.window_total.recommend");
     let deadline = Instant::now() + Duration::from_secs(30);
     while total.get() < 1.0 {
@@ -241,7 +138,6 @@ fn fast_request_below_threshold_flushes_nothing_but_slo_advances() {
     assert_eq!(report.gauges["slo.window_good.recommend"], 1.0);
     assert!(report.gauges.contains_key("slo.good_ratio.recommend"));
     assert!(report.gauges.contains_key("slo.burn_rate.recommend"));
-    assert!(report.counters["trace.dropped"] >= 1);
     assert_eq!(report.counters.get("trace.flushed").copied(), Some(0));
 
     handle.shutdown();
@@ -260,7 +156,7 @@ fn wait_for(handle: &ServerHandle, what: &str, mut until: impl FnMut(&ServerHand
 fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
     // An impossible objective (0ns): every request is bad, so the first
     // tick in which `recommend` serves ten requests trips its burn rule.
-    let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |server| {
+    let (handle, _telemetry) = start_traced(|server| {
         server.ts.interval_ns = 200_000_000;
         server.watch.slo_objective_ns = 0;
         server.watch.trip_after = 1;
@@ -337,7 +233,7 @@ fn healthz_reports_backpressure_and_degrades_on_fast_burn() {
 
 #[test]
 fn metrics_negotiates_prometheus_text_alongside_json() {
-    let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |_| {});
+    let (handle, _telemetry) = start_traced(|_| {});
     // Generate some traffic so the families exist.
     let ok = client::request(
         handle.addr(),
@@ -399,7 +295,7 @@ fn metrics_negotiates_prometheus_text_alongside_json() {
 
 #[test]
 fn trace_ids_are_unique_across_requests() {
-    let (handle, _collector, _telemetry) = start_traced(TailConfig::default(), |_| {});
+    let (handle, _telemetry) = start_traced(|_| {});
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
     for i in 0..8 {
         let response = client::request(
