@@ -20,23 +20,22 @@
 //!   [`RatingsMatrix::co_rated`] produces — and are scored by the
 //!   *same* similarity functions, so the kernel's similarities are
 //!   bit-identical to the seed's.
-//! * [`autotune`] — a startup micro-sweep over [`TILE_CANDIDATES`]
-//!   that times the kernel on a few sample users and picks the
-//!   fastest tile size. Tile size never changes results (tiles
-//!   partition candidates; each candidate's pairs are gathered whole),
-//!   so the tuner optimizes purely over a correctness-invariant axis.
-//! * [`ScanEngine`] — the shared holder of the tuned tile size and the
-//!   cluster-pruned [`CandidateIndex`]: the index is reassigned from
-//!   write deltas or rebuilt when the matrix revision moves, and scan
-//!   counters export through `exrec-obs` under `scan.<name>.*`.
+//! * [`TILE_USERS`] — the one tile width every production scan uses,
+//!   narrowed only by the 2 MiB slot cap for long rows. Tile size never
+//!   changes results (tiles partition candidates; each candidate's
+//!   pairs are gathered whole), so a fixed tile costs no correctness
+//!   and makes every start of a world scan the same way.
+//! * [`ScanEngine`] — the shared holder of the cluster-pruned
+//!   [`CandidateIndex`]: the index is reassigned from write deltas or
+//!   rebuilt when the matrix revision moves, and scan counters export
+//!   through `exrec-obs` under `scan.<name>.*`.
 //!
 //! Attach an engine to a model with
 //! [`UserKnn::with_engine`](crate::UserKnn::with_engine); see
-//! `docs/kernels.md` for the layout diagrams, the autotuner protocol
+//! `docs/kernels.md` for the layout diagrams, the tile measurements
 //! and the exact-mode bit-identity argument.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use exrec_data::{RatingDelta, RatingsMatrix};
 use exrec_obs::{Counter, Gauge, Metrics};
@@ -107,6 +106,13 @@ pub struct ScanOutcome {
 /// × the target row's length): 2 MiB of `(f64, f64)` pairs, so a long
 /// row narrows the tile instead of growing the scratch.
 const MAX_TILE_SLOTS: usize = 1 << 17;
+
+/// Candidate users per tile in every production scan. Rows of up to
+/// `MAX_TILE_SLOTS / TILE_USERS` = 64 ratings scan at this width; a
+/// longer row narrows its tile to fit the 2 MiB slot cap. On the served
+/// 10k and 30k worlds pruned `recommend` reads within noise at every
+/// width from 1024 up (`docs/kernels.md#the-scan-tile`).
+pub const TILE_USERS: usize = 2048;
 
 /// Computes `sim(user, v)` for every candidate `v`, writing into the
 /// dense `sims` table (`sims[v]`, zero elsewhere — matching the seed's
@@ -353,21 +359,6 @@ impl TileMembers<'_> {
     }
 }
 
-/// Tile sizes the autotuner sweeps. Powers of two spanning "fits in
-/// L1 scratch" to "one tile per request on mid-size worlds".
-pub const TILE_CANDIDATES: &[usize] = &[256, 512, 1024, 2048, 4096, 8192];
-
-/// How the kernel picks its tile size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TileSize {
-    /// Startup micro-sweep over [`TILE_CANDIDATES`] (see [`autotune`]).
-    #[default]
-    Auto,
-    /// A fixed tile size (tests and benchmarks; results are identical
-    /// for any value — only the clock changes).
-    Fixed(usize),
-}
-
 /// Deltas the candidate index absorbs by reassignment since its last
 /// full build before the engine forces a fresh k-means build.
 /// Reassignment moves users between *frozen* centroids, so geometry
@@ -377,8 +368,6 @@ pub const DRIFT_REBUILD_THRESHOLD: usize = 4096;
 /// Kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
-    /// Candidate-dimension tile size.
-    pub tile: TileSize,
     /// Deltas the candidate index absorbs by reassignment before the
     /// next read forces a full index rebuild (see
     /// [`DRIFT_REBUILD_THRESHOLD`]). `0` disables reassignment: every
@@ -389,66 +378,9 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            tile: TileSize::default(),
             drift_threshold: DRIFT_REBUILD_THRESHOLD,
         }
     }
-}
-
-/// One autotuner measurement: `(tile size, total nanoseconds)` over the
-/// sample users.
-pub type SweepPoint = (usize, u64);
-
-/// Outcome of an [`autotune`] sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneReport {
-    /// The tile size the kernel will use.
-    pub chosen: usize,
-    /// Every `(tile, elapsed_ns)` point measured, in sweep order.
-    pub sweep: Vec<SweepPoint>,
-}
-
-/// Startup micro-sweep: times an exact scan for a handful of sample
-/// users at every [`TILE_CANDIDATES`] size and picks the fastest
-/// (ties break toward the smaller tile). Tile size cannot change
-/// results — the sweep optimizes wall-clock only — so a noisy pick
-/// costs microseconds, never correctness.
-pub fn autotune(ratings: &RatingsMatrix, params: &SimParams) -> AutotuneReport {
-    // Up to 4 sample users, strided over the id space, skipping empty
-    // rows so the sweep measures real work.
-    let n = ratings.n_users();
-    let mut samples: Vec<UserId> = Vec::new();
-    if n > 0 {
-        let stride = (n / 4).max(1);
-        let mut u = 0usize;
-        while u < n && samples.len() < 4 {
-            let mut probe = u;
-            while probe < n && ratings.user_ratings(UserId::new(probe as u32)).is_empty() {
-                probe += 1;
-            }
-            if probe < n {
-                samples.push(UserId::new(probe as u32));
-            }
-            u += stride;
-        }
-    }
-    let mut sims = Vec::new();
-    let mut sweep = Vec::with_capacity(TILE_CANDIDATES.len());
-    let mut chosen = TILE_CANDIDATES[0];
-    let mut best = u64::MAX;
-    for &tile in TILE_CANDIDATES {
-        let started = Instant::now();
-        for &user in &samples {
-            scan_similarities(ratings, params, user, None, tile, &mut sims);
-        }
-        let elapsed = started.elapsed().as_nanos() as u64;
-        sweep.push((tile, elapsed));
-        if elapsed < best {
-            best = elapsed;
-            chosen = tile;
-        }
-    }
-    AutotuneReport { chosen, sweep }
 }
 
 /// How an engine-backed [`UserKnn`](crate::UserKnn) resolves its
@@ -478,13 +410,12 @@ impl ScanMode {
     }
 }
 
-/// What the engine derives from the matrix: the tuned tile and the
-/// candidate index, which is reassigned from the pending delta chain
-/// or rebuilt when the matrix revision moves. The engine keeps no
-/// handle on the matrix itself.
+/// What the engine derives from the matrix: the candidate index,
+/// which is reassigned from the pending delta chain or rebuilt when the
+/// matrix revision moves. The engine keeps no handle on the matrix
+/// itself.
 #[derive(Default)]
 struct EngineState {
-    tune: Option<AutotuneReport>,
     index: Option<Arc<CandidateIndex>>,
     /// Deltas applied to the matrix since the resident index was
     /// built or reassigned, in revision order; drained by the next
@@ -501,10 +432,6 @@ struct EngineState {
 /// Point-in-time scan statistics for `/debug/world` and logs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanStats {
-    /// Tile size currently in use (`None` before the first scan).
-    pub tile_users: Option<usize>,
-    /// The autotuner's sweep, when tile selection was automatic.
-    pub sweep: Vec<SweepPoint>,
     /// Matrix revision the resident candidate index reflects, if any.
     pub index_revision: Option<u64>,
     /// Candidate-index (re)builds from scratch.
@@ -534,8 +461,8 @@ pub struct ScanStats {
     pub last_prune_ratio: f64,
 }
 
-/// Shared scan state: autotuned tile + pruned candidate index, with
-/// `exrec-obs` counters. Scans read the served matrix directly.
+/// Shared scan state: the pruned candidate index, with `exrec-obs`
+/// counters. Scans read the served matrix directly.
 ///
 /// One engine is shared by every clone of a model (batch workers, the
 /// serving edge): all derived state sits behind a read-mostly lock, and
@@ -604,11 +531,6 @@ impl ScanEngine {
         engine
     }
 
-    /// The kernel configuration.
-    pub fn kernel_config(&self) -> &KernelConfig {
-        &self.kernel
-    }
-
     /// The candidate-index configuration.
     pub fn index_config(&self) -> &IndexConfig {
         &self.index_cfg
@@ -641,47 +563,19 @@ impl ScanEngine {
         }
     }
 
-    /// A handle on `ratings` for a scan, with the tile size picked (see
-    /// [`ScanEngine::tile_for`]). The handle is an `O(1)` clone that
-    /// shares the matrix's store: scans read the served ratings, not a
-    /// copy. A write through the matrix while the handle lives copies
-    /// the store first, so the handle keeps reading the revision it
-    /// was taken at.
-    pub fn csr(&self, ratings: &RatingsMatrix, params: &SimParams) -> RatingsMatrix {
-        self.tile_for(ratings, params);
+    /// A handle on `ratings` for a scan: an `O(1)` clone that shares
+    /// the matrix's store, so scans read the served ratings, not a copy.
+    /// A write through the matrix while the handle lives copies the
+    /// store first, so the handle keeps reading the revision it was
+    /// taken at. `params` is unused; the signature stays for callers
+    /// that time this step.
+    pub fn csr(&self, ratings: &RatingsMatrix, _params: &SimParams) -> RatingsMatrix {
         ratings.clone()
     }
 
-    /// The tile size scans use, picked on the first call: the
-    /// [`autotune`] sweep over `ratings` under [`TileSize::Auto`], else
-    /// the fixed tile. Tile size never changes results, so the pick
-    /// stands as the matrix moves.
-    pub fn tile_for(&self, ratings: &RatingsMatrix, params: &SimParams) -> usize {
-        if let Some(tune) = &self.state.read().tune {
-            return tune.chosen;
-        }
-        let mut state = self.state.write();
-        state
-            .tune
-            .get_or_insert_with(|| match self.kernel.tile {
-                TileSize::Fixed(tile) => AutotuneReport {
-                    chosen: tile.max(1),
-                    sweep: Vec::new(),
-                },
-                TileSize::Auto => autotune(ratings, params),
-            })
-            .chosen
-    }
-
-    /// The tuned tile size (falls back to a safe default if called
-    /// before [`ScanEngine::tile_for`]).
+    /// The tile width scans use: always [`TILE_USERS`].
     pub fn tile(&self) -> usize {
-        self.state
-            .read()
-            .tune
-            .as_ref()
-            .map(|t| t.chosen)
-            .unwrap_or(TILE_CANDIDATES[2])
+        TILE_USERS
     }
 
     /// The candidate index for `ratings`' revision. When the revision
@@ -784,12 +678,6 @@ impl ScanEngine {
     pub fn stats(&self) -> ScanStats {
         let state = self.state.read();
         ScanStats {
-            tile_users: state.tune.as_ref().map(|t| t.chosen),
-            sweep: state
-                .tune
-                .as_ref()
-                .map(|t| t.sweep.clone())
-                .unwrap_or_default(),
             index_revision: state.index.as_ref().map(|i| i.revision()),
             index_builds: self.index_builds.get(),
             index_patches: self.index_patches.get(),
@@ -922,22 +810,53 @@ mod tests {
         assert!(sims.iter().all(|&s| s == 0.0));
     }
 
+    /// A row longer than `MAX_TILE_SLOTS / TILE_USERS` narrows the
+    /// tile: one user with 300 ratings among 3,000 users scans at
+    /// ⌈3000 / (2^17 / 300)⌉ = 7 tiles, and the sims equal the tile-1
+    /// scan bit for bit, full range and subset.
     #[test]
-    fn autotune_picks_a_candidate_tile() {
-        let m = toy_matrix();
+    fn slot_cap_splits_a_long_row_without_changing_sims() {
+        let (n_users, n_items) = (3_000u32, 300u32);
+        let mut m = RatingsMatrix::new(n_users as usize, n_items as usize, RatingScale::FIVE_STAR);
+        for i in 0..n_items {
+            m.rate(UserId(0), ItemId(i), f64::from(i % 5 + 1)).unwrap();
+        }
+        for v in 1..n_users {
+            for j in 0..6 {
+                let item = (v * 7 + j * 53) % n_items;
+                m.rate(UserId(v), ItemId(item), f64::from((v + j) % 5 + 1))
+                    .unwrap();
+            }
+        }
         let params = SimParams {
             similarity: Similarity::Pearson,
             min_overlap: 2,
-            significance: 0,
+            significance: 5,
         };
-        let report = autotune(&m, &params);
-        assert!(TILE_CANDIDATES.contains(&report.chosen));
-        assert_eq!(report.sweep.len(), TILE_CANDIDATES.len());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        scan_similarities(&m, &params, UserId(0), None, 1, &mut want);
+        let outcome = scan_similarities(&m, &params, UserId(0), None, TILE_USERS, &mut got);
+        let width = MAX_TILE_SLOTS / 300;
+        assert_eq!(width, 436);
+        assert_eq!(outcome.tiles, 3_000u64.div_ceil(width as u64));
+        assert_eq!(outcome.tiles, 7);
+        assert!(want.iter().any(|&s| s != 0.0), "the row co-rates");
+        let bits = |sims: &[f64]| sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "full range");
+
+        let subset: Vec<u32> = (0..n_users).step_by(3).collect();
+        let outcome =
+            scan_similarities(&m, &params, UserId(0), Some(&subset), TILE_USERS, &mut got);
+        assert_eq!(outcome.tiles, (subset.len() as u64).div_ceil(width as u64));
+        for (v, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            let w = if v % 3 == 0 { w } else { 0.0 };
+            assert_eq!(g.to_bits(), w.to_bits(), "subset, candidate {v}");
+        }
     }
 
-    /// The tile is picked once, and the engine's handle is the served
-    /// store: it reads through the matrix's own rows, and a later write
-    /// to the matrix copies the store instead of changing the handle.
+    /// The engine's handle is the served store: it reads through the
+    /// matrix's own rows, and a later write to the matrix copies the
+    /// store instead of changing the handle.
     #[test]
     fn engine_handle_shares_the_store_until_a_write() {
         let mut m = toy_matrix();
@@ -947,13 +866,7 @@ mod tests {
             min_overlap: 2,
             significance: 0,
         };
-        assert_eq!(engine.stats().tile_users, None);
         let handle = engine.csr(&m, &params);
-        let tuned = engine.stats();
-        assert!(
-            tuned.tile_users.is_some(),
-            "the first handle tunes the tile"
-        );
         assert_eq!(
             handle.user_ratings(UserId(0)).as_ptr(),
             m.user_ratings(UserId(0)).as_ptr(),
@@ -963,8 +876,6 @@ mod tests {
         assert_eq!(handle.rating(UserId(0), ItemId(0)), Some(5.0));
         assert_eq!(m.rating(UserId(0), ItemId(0)), Some(1.0));
         assert_eq!(engine.csr(&m, &params).revision(), m.revision());
-        // The sweep's timings would differ had the write re-tuned.
-        assert_eq!(engine.stats().sweep, tuned.sweep, "tuned once");
     }
 
     #[test]
@@ -1041,13 +952,7 @@ mod tests {
     #[test]
     fn drift_threshold_forces_full_rebuild() {
         let mut m = toy_matrix();
-        let engine = ScanEngine::new(
-            KernelConfig {
-                tile: TileSize::Fixed(64),
-                drift_threshold: 2,
-            },
-            IndexConfig::default(),
-        );
+        let engine = ScanEngine::new(KernelConfig { drift_threshold: 2 }, IndexConfig::default());
         engine.index(&m);
         for round in 0..3u32 {
             let deltas = vec![rate_delta(&mut m, 2, 0, f64::from(round % 5) + 1.0)];

@@ -38,9 +38,9 @@
 //! allowed to prune (see `docs/kernels.md`):
 //!
 //! * [`kernel`] — a cache-blocked tiled similarity scan that reads
-//!   the served ratings matrix in one pass, a startup autotuner, and
-//!   [`kernel::ScanEngine`], the shared holder of the tuned tile and
-//!   the candidate index;
+//!   the served ratings matrix in one pass at the fixed
+//!   [`kernel::TILE_USERS`] width, and [`kernel::ScanEngine`], the
+//!   shared holder of the candidate index;
 //! * [`index`] — [`index::CandidateIndex`], deterministic coarse
 //!   k-means over rating rows; pruned scans probe the nearest
 //!   centroids and score only their members, with automatic exact
@@ -74,7 +74,7 @@ pub use batch::BatchPool;
 pub use index::{CandidateIndex, IndexConfig};
 pub use instrument::InstrumentedRecommender;
 pub use item_knn::ItemKnn;
-pub use kernel::{KernelConfig, ScanEngine, ScanMode, ScanStats, TileSize};
+pub use kernel::{KernelConfig, ScanEngine, ScanMode, ScanStats};
 pub use recommender::{Ctx, ModelEvidence, Recommender, Scored};
 pub use similarity::Similarity;
 pub use user_knn::UserKnn;

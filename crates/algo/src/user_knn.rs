@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use crate::kernel::{scan_similarities, ScanEngine, ScanMode, SimParams};
+use crate::kernel::{scan_similarities, ScanEngine, ScanMode, SimParams, TILE_USERS};
 use crate::neighbors::{top_k_by, top_k_stream};
 use crate::recommender::{Ctx, ModelEvidence, NeighborContribution, Recommender, Scored};
 use crate::similarity::{self, Similarity};
@@ -101,8 +101,8 @@ impl UserKnn {
     }
 
     /// Attaches a shared scan engine and picks the scan mode. Clones of
-    /// the same `Arc` (e.g. per batch worker) share the tuned tile size
-    /// and candidate index.
+    /// the same `Arc` (e.g. per batch worker) share the candidate
+    /// index.
     pub fn with_engine(mut self, engine: Arc<ScanEngine>, mode: ScanMode) -> Self {
         self.scan = Some(ScanHandle { engine, mode });
         self
@@ -237,7 +237,6 @@ impl UserKnn {
         handle: &ScanHandle,
         raters: Option<Vec<u32>>,
     ) -> Vec<f64> {
-        let tile = handle.engine.tile_for(ratings, &self.sim_params());
         let (scan_list, pruned, fell_back) = self.scan_list_for(ratings, user, handle, raters);
         let mut sims = Vec::new();
         let outcome = {
@@ -247,7 +246,7 @@ impl UserKnn {
                 &self.sim_params(),
                 user,
                 scan_list.as_deref(),
-                tile,
+                TILE_USERS,
                 &mut sims,
             )
         };

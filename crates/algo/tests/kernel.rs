@@ -14,7 +14,7 @@
 //!   every ranked item's evidence is the single-pair neighbourhood, and
 //!   an explained ranking makes one model call.
 //! * **Tile size is a pure performance knob** — any tile size produces
-//!   the identical exact ranking.
+//!   the identical sims table.
 //! * **Pruned mode keeps recall@k ≥ 0.99** against exact on seeded
 //!   synthetic worlds, and **falls back to exact** when the candidate
 //!   set is too small for `k`.
@@ -30,7 +30,7 @@ use exrec_algo::recommender::NeighborContribution;
 use exrec_algo::user_knn::UserKnnConfig;
 use exrec_algo::{
     Ctx, IndexConfig, InstrumentedRecommender, KernelConfig, ModelEvidence, Recommender,
-    ScanEngine, ScanMode, Scored, Similarity, TileSize, UserKnn,
+    ScanEngine, ScanMode, Scored, Similarity, UserKnn,
 };
 use exrec_core::engine::Explainer;
 use exrec_core::interfaces::InterfaceId;
@@ -51,14 +51,8 @@ fn world(n_users: usize, n_items: usize, seed: u64) -> World {
     })
 }
 
-fn engine_with(tile: TileSize, index: IndexConfig) -> Arc<ScanEngine> {
-    Arc::new(ScanEngine::new(
-        KernelConfig {
-            tile,
-            ..KernelConfig::default()
-        },
-        index,
-    ))
+fn engine_with(index: IndexConfig) -> Arc<ScanEngine> {
+    Arc::new(ScanEngine::new(KernelConfig::default(), index))
 }
 
 fn assert_bit_identical(a: &[Scored], b: &[Scored], label: &str) {
@@ -163,10 +157,9 @@ fn exact_mode_is_bit_identical_to_brute() {
                     ..UserKnnConfig::default()
                 };
                 let brute = UserKnn::new(config.clone()).unwrap();
-                let exact = UserKnn::new(config).unwrap().with_engine(
-                    engine_with(TileSize::Auto, IndexConfig::default()),
-                    ScanMode::Exact,
-                );
+                let exact = UserKnn::new(config)
+                    .unwrap()
+                    .with_engine(engine_with(IndexConfig::default()), ScanMode::Exact);
                 for &u in &users {
                     let want = brute.recommend(&ctx, u, 10);
                     let label = format!("{case}: {similarity:?} min_sim {min_similarity} user {u}");
@@ -251,7 +244,7 @@ fn ranking_matches_the_column_gather() {
     for (w, mode, config) in cases {
         let (n_users, n_items) = (w.ratings.n_users(), w.ratings.n_items());
         let ctx = Ctx::new(&w.ratings, &w.catalog);
-        let engine = engine_with(TileSize::Auto, IndexConfig::default());
+        let engine = engine_with(IndexConfig::default());
         let model = UserKnn::new(config.clone())
             .unwrap()
             .with_engine(Arc::clone(&engine), mode);
@@ -316,7 +309,7 @@ fn ranking_matches_the_column_gather() {
 fn ranked_evidence_equals_single_pair_neighbors() {
     let small = world(150, 80, 0xC0FFEE);
     let big = world(4000, 150, 0xFEED);
-    let engine = || engine_with(TileSize::Auto, IndexConfig::default());
+    let engine = || engine_with(IndexConfig::default());
     let cases = [
         ("brute", &small, UserKnn::default()),
         (
@@ -367,7 +360,7 @@ fn predict_with_evidence_equals_predict_then_evidence() {
             min_similarity,
             ..UserKnnConfig::default()
         };
-        let engine = || engine_with(TileSize::Auto, IndexConfig::default());
+        let engine = || engine_with(IndexConfig::default());
         let models = [
             UserKnn::new(config.clone()).unwrap(),
             UserKnn::new(config.clone())
@@ -437,10 +430,7 @@ fn explained_ranking_is_one_model_call() {
     let w = world(150, 80, 0xC0FFEE);
     let ctx = Ctx::new(&w.ratings, &w.catalog);
     let obs = Telemetry::default();
-    let bare = UserKnn::default().with_engine(
-        engine_with(TileSize::Auto, IndexConfig::default()),
-        ScanMode::Exact,
-    );
+    let bare = UserKnn::default().with_engine(engine_with(IndexConfig::default()), ScanMode::Exact);
     let counted = InstrumentedRecommender::new(bare.clone(), &obs);
     let per_item = PerItemEvidence(bare.clone());
     let model_calls = || {
@@ -493,31 +483,27 @@ fn explained_ranking_is_one_model_call() {
     }
 }
 
-/// Tile size only changes the clock, never the ranking.
+/// Tile size only changes the clock, never the sims: on a 200-user
+/// world, every user's sims table at tiles 3, 7, 64, 200 and 100,000
+/// equals the tile-1 table bit for bit.
 #[test]
 fn tile_size_is_result_invariant() {
     let w = world(200, 60, 0x711E);
-    let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let reference = UserKnn::default().with_engine(
-        engine_with(TileSize::Fixed(1), IndexConfig::default()),
-        ScanMode::Exact,
-    );
-    let users: Vec<UserId> = (0..200).step_by(13).map(|u| UserId(u as u32)).collect();
-    let wants: Vec<Vec<Scored>> = users
-        .iter()
-        .map(|&u| reference.recommend(&ctx, u, 8))
-        .collect();
-    for tile in [3, 7, 64, 200, 100_000] {
-        let model = UserKnn::default().with_engine(
-            engine_with(TileSize::Fixed(tile), IndexConfig::default()),
-            ScanMode::Exact,
-        );
-        for (u, want) in users.iter().zip(&wants) {
-            assert_bit_identical(
-                &model.recommend(&ctx, *u, 8),
-                want,
-                &format!("tile {tile} user {u}"),
-            );
+    let ratings = &w.ratings;
+    let params = SimParams {
+        similarity: Similarity::Pearson,
+        min_overlap: 2,
+        significance: 20,
+    };
+    let bits = |sims: &[f64]| sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for u in (0..200u32).step_by(13) {
+        let user = UserId(u);
+        scan_similarities(ratings, &params, user, None, 1, &mut want);
+        assert!(want.iter().any(|&s| s != 0.0), "user {u} has neighbours");
+        for tile in [3, 7, 64, 200, 100_000] {
+            scan_similarities(ratings, &params, user, None, tile, &mut got);
+            assert_eq!(bits(&got), bits(&want), "tile {tile} user {u}");
         }
     }
 }
@@ -584,7 +570,7 @@ fn pruned_recall_at_k_holds() {
 fn tiny_candidate_set_falls_back_to_exact() {
     let w = world(60, 40, 0xFA11);
     let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let engine = engine_with(TileSize::Auto, IndexConfig::default());
+    let engine = engine_with(IndexConfig::default());
     let brute = UserKnn::default();
     let pruned = UserKnn::default().with_engine(Arc::clone(&engine), ScanMode::Pruned);
     // 60 users < fallback floor (min_candidates 64, and 4k = 80): every
@@ -611,10 +597,8 @@ fn tiny_candidate_set_falls_back_to_exact() {
 #[test]
 fn engine_observes_rating_updates() {
     let mut w = world(100, 50, 0xAB1E);
-    let exact = UserKnn::default().with_engine(
-        engine_with(TileSize::Auto, IndexConfig::default()),
-        ScanMode::Exact,
-    );
+    let exact =
+        UserKnn::default().with_engine(engine_with(IndexConfig::default()), ScanMode::Exact);
     let brute = UserKnn::default();
     let user = UserId(3);
     let before = {
@@ -649,7 +633,7 @@ fn engine_observes_rating_updates() {
 fn serving_writes_never_copy_the_store() {
     let w = world(4000, 150, 0xFEED);
     for mode in [ScanMode::Pruned, ScanMode::Exact] {
-        let engine = engine_with(TileSize::Auto, IndexConfig::default());
+        let engine = engine_with(IndexConfig::default());
         let model = UserKnn::default().with_engine(Arc::clone(&engine), mode);
         let live = MutableWorld::new(w.clone());
         let (writer, bystander) = (UserId(7), UserId(11));
@@ -658,7 +642,7 @@ fn serving_writes_never_copy_the_store() {
             let world = live.read();
             model.recommend(&Ctx::new(&world.ratings, &world.catalog), u, 5)
         };
-        // The first reads tune the tile and build the index.
+        // The first reads build the index.
         assert!(!read(writer).is_empty());
         read(bystander);
         // `w` still shares the store with `live`: the first write
@@ -749,10 +733,8 @@ fn degenerate_worlds_are_safe() {
 
     let w = world(1, 5, 0x01);
     let ctx = Ctx::new(&w.ratings, &w.catalog);
-    let model = UserKnn::default().with_engine(
-        engine_with(TileSize::Auto, IndexConfig::default()),
-        ScanMode::Pruned,
-    );
+    let model =
+        UserKnn::default().with_engine(engine_with(IndexConfig::default()), ScanMode::Pruned);
     // One user has no neighbours; must return empty, not panic.
     assert!(model.recommend(&ctx, UserId(0), 5).is_empty());
     assert!(model.recommend(&ctx, UserId(99), 5).is_empty());

@@ -1,12 +1,16 @@
-//! Dead-link detection over the repo's markdown docs — the library
-//! behind the `doccheck` binary and CI's `doc-links` job.
+//! Dead-link detection over the repo's markdown docs and the doc
+//! anchors its Rust sources cite — the library behind the `doccheck`
+//! binary and CI's `doc-links` job.
 //!
 //! The docs cross-reference each other heavily (`docs/kernels.md`
 //! anchors are cited from rustdoc and other pages), and a renamed
 //! heading or moved file silently strands every reference. This module
 //! parses inline markdown links, resolves relative targets against the
 //! filesystem, and checks `#fragment` targets against the GitHub
-//! heading-slug set of the destination file.
+//! heading-slug set of the destination file. In Rust sources it finds
+//! `docs/<file>.md#<fragment>` citations (comments, doc comments and
+//! strings alike), read from the repository root, and checks them the
+//! same way.
 //!
 //! Scope is deliberately small: inline `[text](target)` links outside
 //! fenced code blocks. External schemes (`http:`, `https:`, `mailto:`)
@@ -100,6 +104,34 @@ pub fn extract_links(text: &str) -> Vec<Link> {
     links
 }
 
+/// Extracts `docs/<file>.md#<fragment>` citations from Rust source
+/// text. Each target is relative to the repository root.
+pub fn extract_doc_citations(text: &str) -> Vec<Link> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '/');
+    let is_fragment = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-');
+    let mut citations = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        for (at, _) in line.match_indices("docs/") {
+            if line[..at].ends_with(|c: char| c.is_ascii_alphanumeric()) {
+                continue;
+            }
+            let tail = &line[at..];
+            let path_end = tail.find(|c| !is_path(c)).unwrap_or(tail.len());
+            let Some(after) = tail[path_end..].strip_prefix(".md#") else {
+                continue;
+            };
+            let fragment_len = after.find(|c| !is_fragment(c)).unwrap_or(after.len());
+            if fragment_len > 0 {
+                citations.push(Link {
+                    line: idx + 1,
+                    target: tail[..path_end + ".md#".len() + fragment_len].to_owned(),
+                });
+            }
+        }
+    }
+    citations
+}
+
 /// GitHub's heading-to-anchor slug: lowercase, alphanumerics kept,
 /// spaces and hyphens become hyphens, everything else dropped.
 pub fn slug(heading: &str) -> String {
@@ -148,58 +180,64 @@ fn is_external(target: &str) -> bool {
 /// the filesystem, resolving relative targets from the file's parent
 /// directory and fragments against the destination's heading slugs.
 pub fn check_file(file: &Path, text: &str) -> Vec<DeadLink> {
-    let mut dead = Vec::new();
     let dir = file.parent().unwrap_or_else(|| Path::new("."));
-    for link in extract_links(text) {
-        if is_external(&link.target) {
-            continue;
+    extract_links(text)
+        .iter()
+        .filter(|link| !is_external(&link.target))
+        .filter_map(|link| resolve(file, text, dir, link))
+        .collect()
+}
+
+/// Checks every `docs/<file>.md#<fragment>` citation in `text` (the
+/// content of the Rust source `file`), resolving the cited file from
+/// `root` and the fragment against its heading slugs.
+pub fn check_rust_file(file: &Path, text: &str, root: &Path) -> Vec<DeadLink> {
+    extract_doc_citations(text)
+        .iter()
+        .filter_map(|link| resolve(file, text, root, link))
+        .collect()
+}
+
+/// Resolves one link found in `file` (whose content is `text`): the
+/// path part from `dir`, the fragment against the destination's heading
+/// slugs (this file's, for a bare `#fragment`).
+fn resolve(file: &Path, text: &str, dir: &Path, link: &Link) -> Option<DeadLink> {
+    let dead = |reason: String| {
+        Some(DeadLink {
+            file: file.to_path_buf(),
+            line: link.line,
+            target: link.target.clone(),
+            reason,
+        })
+    };
+    let (path_part, fragment) = match link.target.split_once('#') {
+        Some((p, f)) => (p, Some(f)),
+        None => (link.target.as_str(), None),
+    };
+    let (dest, dest_text) = if path_part.is_empty() {
+        // `#fragment`: an anchor in this file.
+        (file.to_path_buf(), text.to_owned())
+    } else {
+        let dest = dir.join(path_part);
+        if !dest.exists() {
+            return dead(format!("{} does not exist", dest.display()));
         }
-        let (path_part, fragment) = match link.target.split_once('#') {
-            Some((p, f)) => (p, Some(f)),
-            None => (link.target.as_str(), None),
-        };
-        let (dest, dest_text) = if path_part.is_empty() {
-            // `#fragment`: an anchor in this file.
-            (file.to_path_buf(), text.to_owned())
-        } else {
-            let dest = dir.join(path_part);
-            if !dest.exists() {
-                dead.push(DeadLink {
-                    file: file.to_path_buf(),
-                    line: link.line,
-                    target: link.target.clone(),
-                    reason: format!("{} does not exist", dest.display()),
-                });
-                continue;
-            }
-            if fragment.is_none() || dest.extension().is_none_or(|e| e != "md") {
-                continue;
-            }
-            match std::fs::read_to_string(&dest) {
-                Ok(dest_text) => (dest, dest_text),
-                Err(e) => {
-                    dead.push(DeadLink {
-                        file: file.to_path_buf(),
-                        line: link.line,
-                        target: link.target.clone(),
-                        reason: format!("{} unreadable: {e}", dest.display()),
-                    });
-                    continue;
-                }
-            }
-        };
-        if let Some(fragment) = fragment {
-            if !anchors(&dest_text).contains(&fragment.to_ascii_lowercase()) {
-                dead.push(DeadLink {
-                    file: file.to_path_buf(),
-                    line: link.line,
-                    target: link.target.clone(),
-                    reason: format!("no heading slugs to #{fragment} in {}", dest.display()),
-                });
-            }
+        if fragment.is_none() || dest.extension().is_none_or(|e| e != "md") {
+            return None;
         }
+        match std::fs::read_to_string(&dest) {
+            Ok(dest_text) => (dest, dest_text),
+            Err(e) => return dead(format!("{} unreadable: {e}", dest.display())),
+        }
+    };
+    let fragment = fragment?;
+    if anchors(&dest_text).contains(&fragment.to_ascii_lowercase()) {
+        return None;
     }
-    dead
+    dead(format!(
+        "no heading slugs to #{fragment} in {}",
+        dest.display()
+    ))
 }
 
 #[cfg(test)]
@@ -265,6 +303,62 @@ inline `[code](also-not.md)` then [real](kernels.md)\n";
         assert_eq!(dead.len(), 2, "{dead:?}");
         assert!(dead[0].target.contains("missing.md"));
         assert!(dead[1].target.contains("#nope"));
+    }
+
+    /// Rust fixtures spell `docs/` as `@/`: the default doccheck run
+    /// scans this file too, and must not report them.
+    fn cited(text: &str) -> String {
+        text.replace("@/", "docs/")
+    }
+
+    #[test]
+    fn rust_citations_are_extracted_from_comments_and_strings() {
+        let text = cited(
+            "\
+//! see `@/kernels.md#the-scan-tile` and @/kernels.md without one\n\
+/// (@/serving.md#flags). Also my@/x.md#nope is not a citation\n\
+let s = \"@/a-b/c_d.md#frag-1\";\n",
+        );
+        let found: Vec<(usize, String)> = extract_doc_citations(&text)
+            .into_iter()
+            .map(|l| (l.line, l.target))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                (1, cited("@/kernels.md#the-scan-tile")),
+                (2, cited("@/serving.md#flags")),
+                (3, cited("@/a-b/c_d.md#frag-1")),
+            ]
+        );
+    }
+
+    #[test]
+    fn rust_citation_of_a_missing_heading_is_reported() {
+        let root = std::env::temp_dir().join(format!("doccheck-rs-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("docs")).unwrap();
+        std::fs::write(
+            root.join("docs").join("kernels.md"),
+            "# Kernels\n## The scan tile\n",
+        )
+        .unwrap();
+        let source = Path::new("crates/algo/src/kernel.rs");
+        let text = cited(
+            "\
+/// Width (`@/kernels.md#the-scan-tile`).\n\
+/// Sweep (`@/kernels.md#the-autotuner-sweep`).\n",
+        );
+        let dead = check_rust_file(source, &text, &root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!(dead[0].target, cited("@/kernels.md#the-autotuner-sweep"));
+        assert!(
+            dead[0]
+                .to_string()
+                .starts_with("crates/algo/src/kernel.rs:2: "),
+            "{}",
+            dead[0]
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   a histogram + influence bars + disclosure is deep).
 //!
 //! All functions are pure and allocation-light; the online estimator
-//! calls them on a 1-in-N sample of live requests.
+//! calls them on every explanation `/v1/explain` serves.
 
 use crate::explanation::{Explanation, Fragment};
 use exrec_algo::ModelEvidence;
@@ -224,7 +224,7 @@ pub fn provenance_depth(explanation: &Explanation) -> usize {
 /// Maximum provenance depth [`provenance_depth`] can report.
 pub const MAX_PROVENANCE_DEPTH: usize = 4;
 
-/// One sampled quality measurement over an (explanation, evidence) pair.
+/// One quality measurement over an (explanation, evidence) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityProbe {
     /// Citation-ablation fidelity in `[0, 1]` ([`ablation_fidelity`]).

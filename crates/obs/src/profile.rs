@@ -153,7 +153,7 @@ impl PhaseCollector {
             .collect()
     }
 
-    /// Attributes a sampled explanation-quality score in `[0, 1]` to
+    /// Attributes a probed explanation-quality score in `[0, 1]` to
     /// this request. The last write wins; the serving edge copies it
     /// into the request's flight record.
     pub fn set_quality(&self, score: f64) {
@@ -161,8 +161,8 @@ impl PhaseCollector {
         self.quality_micro.store(micro, Ordering::Relaxed);
     }
 
-    /// The sampled quality score, if the estimator sampled this
-    /// request.
+    /// The probed quality score, if this request's explanation was
+    /// probed.
     pub fn quality(&self) -> Option<f64> {
         match self.quality_micro.load(Ordering::Relaxed) {
             0 => None,
@@ -370,7 +370,7 @@ pub fn current() -> Option<ProfileCtx> {
     ACTIVE.with(|stack| stack.borrow().last().cloned())
 }
 
-/// Attributes a sampled quality score to the current request's
+/// Attributes a probed quality score to the current request's
 /// collector; a no-op outside an active route.
 pub fn quality_sample(score: f64) {
     ACTIVE.with(|stack| {

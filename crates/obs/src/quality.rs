@@ -1,17 +1,14 @@
-//! Online explanation-quality estimation: a cheap, sampled mirror of
-//! the offline metric suite.
+//! Online explanation-quality estimation: a cheap mirror of the offline
+//! metric suite.
 //!
 //! The offline suite (`exrec-eval`) scores every interface exhaustively
 //! against ground truth; the serving edge cannot afford that per
-//! request. What it *can* afford is a 1-in-N sample: the explanation
-//! and its evidence are already in hand when a request completes, so
-//! coverage, provenance depth and citation-ablation fidelity cost a few
-//! arithmetic operations over data already computed.
+//! request. What it *can* afford is a probe of every explanation it
+//! serves: the explanation and its evidence are already in hand when a
+//! request completes, so coverage, provenance depth and
+//! citation-ablation fidelity cost a few arithmetic operations over
+//! data already computed.
 //!
-//! * **Deterministic sampling** — [`QualityMonitor::should_sample`]
-//!   draws from a seeded [`IdSource`] stream (the same SplitMix64
-//!   generator request trace ids come from), so a replayed request
-//!   sequence samples identically.
 //! * **`quality.*` metrics** — rolling per-interface and per-aim means
 //!   exported as gauges, score distributions as milli-unit histograms,
 //!   all through the existing [`Metrics`](crate::Metrics) registry and
@@ -33,13 +30,12 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::trace::IdSource;
 use crate::Telemetry;
 
 /// Samples an interface's rolling window must hold before its
 /// `quality.score|fidelity|coverage.<interface>` gauges are published.
 /// A mean over a handful of samples is noise: a simulated fresh server
-/// on the default world, quality-sampling one default explain per tick
+/// on the default world, probing one default explain per tick
 /// (rolling score about 0.17, floor 0.25), paged itself through that
 /// interface's rule in 21 of 20,000 runs with no fill, 1 at a fill of
 /// 16, and in none from 32 on.
@@ -48,11 +44,6 @@ pub const QUALITY_FILL: usize = 32;
 /// Shape of the online quality estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityConfig {
-    /// Sample one request in `sample_every`. `0` disables sampling,
-    /// `1` samples every request.
-    pub sample_every: u64,
-    /// Seed for the deterministic sampling stream.
-    pub seed: u64,
     /// Rolling-window length (samples) for the exported means.
     pub window: usize,
     /// Scores below this count as low-quality; the serving edge's
@@ -63,15 +54,13 @@ pub struct QualityConfig {
 impl Default for QualityConfig {
     fn default() -> Self {
         QualityConfig {
-            sample_every: 8,
-            seed: 0x51,
             window: 128,
             low_threshold: 0.25,
         }
     }
 }
 
-/// One sampled quality measurement, as the edge reports it.
+/// One explanation's quality measurement, as the edge reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualitySample<'a> {
     /// Interface key that generated the explanation.
@@ -137,6 +126,17 @@ impl ScopeStat {
             depth: Rolling::with_cap(cap),
         }
     }
+
+    fn stat(&self, name: &str) -> InterfaceQualityStat {
+        InterfaceQualityStat {
+            name: name.to_owned(),
+            samples: self.samples,
+            score: self.score.mean(),
+            fidelity: self.fidelity.mean(),
+            coverage: self.coverage.mean(),
+            provenance_depth: self.depth.mean(),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -147,13 +147,12 @@ struct State {
     low_streak: u64,
 }
 
-/// The live quality estimator: deterministic sampler + rolling stats +
-/// `quality.*` metric export.
+/// The live quality estimator: rolling stats + `quality.*` metric
+/// export.
 #[derive(Debug)]
 pub struct QualityMonitor {
     telemetry: Telemetry,
     config: QualityConfig,
-    ids: IdSource,
     state: Mutex<State>,
 }
 
@@ -163,7 +162,6 @@ impl QualityMonitor {
     pub fn new(telemetry: Telemetry, config: QualityConfig) -> Self {
         let window = config.window;
         QualityMonitor {
-            ids: IdSource::seeded(config.seed),
             telemetry,
             state: Mutex::new(State {
                 overall: ScopeStat::with_cap(window),
@@ -180,25 +178,10 @@ impl QualityMonitor {
         &self.config
     }
 
-    /// Whether the next request should be quality-sampled. Advances
-    /// the deterministic sampling stream; ~1-in-`sample_every` calls
-    /// return true, in a sequence fixed by the seed.
-    pub fn should_sample(&self) -> bool {
-        match self.config.sample_every {
-            0 => false,
-            1 => {
-                // Still consume a draw so enabling/disabling 1-in-1
-                // sampling never shifts the rest of the stream.
-                let _ = self.ids.next_id();
-                true
-            }
-            n => self.ids.next_id().is_multiple_of(n),
-        }
-    }
-
-    /// Folds one sampled measurement in: updates rolling stats and
-    /// exports the `quality.*` metric family.
-    pub fn observe(&self, sample: &QualitySample<'_>) {
+    /// Folds one measurement in: updates rolling stats, exports the
+    /// `quality.*` metric family and returns the sample's interface
+    /// standing, its window means included.
+    pub fn observe(&self, sample: &QualitySample<'_>) -> InterfaceQualityStat {
         let metrics = self.telemetry.metrics();
         metrics.counter("quality.samples").incr();
         metrics
@@ -234,16 +217,17 @@ impl QualityMonitor {
         per_interface.fidelity.push(sample.fidelity);
         per_interface.coverage.push(sample.coverage);
         per_interface.depth.push(sample.provenance_depth as f64);
+        let stat = per_interface.stat(sample.interface);
         if per_interface.score.window.len() >= QUALITY_FILL.min(window) {
             metrics
                 .gauge(&format!("quality.score.{}", sample.interface))
-                .set(per_interface.score.mean());
+                .set(stat.score);
             metrics
                 .gauge(&format!("quality.fidelity.{}", sample.interface))
-                .set(per_interface.fidelity.mean());
+                .set(stat.fidelity);
             metrics
                 .gauge(&format!("quality.coverage.{}", sample.interface))
-                .set(per_interface.coverage.mean());
+                .set(stat.coverage);
         }
 
         for aim in &sample.aims {
@@ -263,6 +247,7 @@ impl QualityMonitor {
         } else {
             state.low_streak = 0;
         }
+        stat
     }
 
     /// A serializable snapshot for the `/debug/quality` surface.
@@ -270,7 +255,6 @@ impl QualityMonitor {
         let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         QualitySnapshot {
             samples: state.overall.samples,
-            sample_every: self.config.sample_every,
             low_threshold: self.config.low_threshold,
             low_streak: state.low_streak,
             sustained_low: false,
@@ -279,14 +263,7 @@ impl QualityMonitor {
             interfaces: state
                 .interfaces
                 .iter()
-                .map(|(name, s)| InterfaceQualityStat {
-                    name: name.clone(),
-                    samples: s.samples,
-                    score: s.score.mean(),
-                    fidelity: s.fidelity.mean(),
-                    coverage: s.coverage.mean(),
-                    provenance_depth: s.depth.mean(),
-                })
+                .map(|(name, s)| s.stat(name))
                 .collect(),
             aims: state
                 .aims
@@ -325,7 +302,7 @@ pub struct AimQualityStat {
     pub name: String,
     /// Samples currently in the window.
     pub samples: u64,
-    /// Rolling mean score of sampled explanations declaring the aim.
+    /// Rolling mean score of probed explanations declaring the aim.
     pub score: f64,
 }
 
@@ -335,8 +312,6 @@ pub struct AimQualityStat {
 pub struct QualitySnapshot {
     /// Measurements folded in so far.
     pub samples: u64,
-    /// Configured 1-in-N sampling rate.
-    pub sample_every: u64,
     /// Configured low-quality threshold.
     pub low_threshold: f64,
     /// Current consecutive-low-sample streak, across interfaces.
@@ -368,38 +343,6 @@ mod tests {
             provenance_depth: 2,
             score,
         }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_and_roughly_one_in_n() {
-        let config = QualityConfig {
-            sample_every: 8,
-            ..QualityConfig::default()
-        };
-        let a = QualityMonitor::new(Telemetry::default(), config.clone());
-        let b = QualityMonitor::new(Telemetry::default(), config);
-        let da: Vec<bool> = (0..1000).map(|_| a.should_sample()).collect();
-        let db: Vec<bool> = (0..1000).map(|_| b.should_sample()).collect();
-        assert_eq!(da, db, "same seed, same sampling decisions");
-        let hits = da.iter().filter(|&&s| s).count();
-        assert!((60..=190).contains(&hits), "~1 in 8 of 1000, got {hits}");
-
-        let every = QualityMonitor::new(
-            Telemetry::default(),
-            QualityConfig {
-                sample_every: 1,
-                ..QualityConfig::default()
-            },
-        );
-        assert!((0..100).all(|_| every.should_sample()));
-        let never = QualityMonitor::new(
-            Telemetry::default(),
-            QualityConfig {
-                sample_every: 0,
-                ..QualityConfig::default()
-            },
-        );
-        assert!((0..100).all(|_| !never.should_sample()));
     }
 
     #[test]
@@ -456,6 +399,22 @@ mod tests {
             let value = gauges[&format!("quality.{family}.histogram")];
             assert!((value - mean).abs() < 1e-9, "{family}: {value} vs {mean}");
         }
+    }
+
+    #[test]
+    fn observe_returns_the_interface_window_means() {
+        let monitor = QualityMonitor::new(Telemetry::default(), QualityConfig::default());
+        monitor.observe(&sample("histogram", 0.75));
+        monitor.observe(&sample("neighbor_count", 0.1));
+        let stat = monitor.observe(&sample("histogram", 0.25));
+        assert_eq!(stat.name, "histogram");
+        assert_eq!(stat.samples, 2);
+        assert_eq!(
+            (stat.fidelity, stat.coverage, stat.provenance_depth),
+            (0.5, 0.5, 2.0)
+        );
+        let snap = monitor.snapshot();
+        assert!(snap.interfaces.contains(&stat), "{snap:?}");
     }
 
     #[test]

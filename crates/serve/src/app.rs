@@ -103,9 +103,6 @@ pub struct AppConfig {
     /// Honour `inject_panic` / `inject_delay_ms` request fields. Test
     /// harnesses only; off by default.
     pub fault_injection: bool,
-    /// Quality-sample one `/v1/explain` request in this many (`0`
-    /// disables live quality estimation, `1` samples every request).
-    pub quality_sample_every: u64,
     /// Explanation pairs sampled per interface by the startup scoring
     /// pass that seeds the aim-fit quality book.
     pub quality_pairs: usize,
@@ -137,7 +134,6 @@ impl Default for AppConfig {
             max_n: 100,
             pool_threads: 0,
             fault_injection: false,
-            quality_sample_every: 8,
             quality_pairs: 16,
             exact: false,
             wal_path: None,
@@ -158,7 +154,8 @@ pub struct ExplainApp {
     /// Measured per-interface quality on the served world, seeded by a
     /// startup scoring pass and refreshed by the live estimator.
     book: QualityBook,
-    /// The 1-in-N online quality estimator behind `quality.*` metrics.
+    /// The online quality estimator behind `quality.*` metrics; it
+    /// probes every explanation `/v1/explain` serves.
     monitor: QualityMonitor,
     /// Whether startup found (and loaded) a compaction snapshot.
     snapshot_loaded: bool,
@@ -246,10 +243,7 @@ impl ExplainApp {
         ));
         let monitor = QualityMonitor::new(
             telemetry.clone(),
-            exrec_obs::quality::QualityConfig {
-                sample_every: config.quality_sample_every,
-                ..exrec_obs::quality::QualityConfig::default()
-            },
+            exrec_obs::quality::QualityConfig::default(),
         );
         let app = ExplainApp {
             config,
@@ -559,17 +553,14 @@ impl ExplainApp {
         let ctx = Ctx::new(&world.ratings, &world.catalog);
         let explainer =
             Explainer::new(&self.model, interface).with_telemetry(self.telemetry.clone());
-        // Evidence comes with every explanation, so the 1-in-N quality
-        // sample only decides whether the probe runs on it.
-        let sampled = self.monitor.should_sample();
         // MissingEvidence (interface/model mismatch) and NoPrediction
         // (cold pair) are both "valid ids, no answer": 422.
         let (prediction, explanation, evidence) = explainer
             .explain_with_evidence(&ctx, user, item)
             .map_err(|e| AppError::Unprocessable(e.to_string()))?;
-        if sampled {
-            self.record_quality(&world.ratings, interface, &explanation, &evidence, user);
-        }
+        // The probe is arithmetic on evidence the explanation already
+        // carries, so every explanation gets one.
+        self.record_quality(&world.ratings, interface, &explanation, &evidence, user);
         Ok(ExplainResponse {
             user: req.user,
             item: req.item,
@@ -758,7 +749,7 @@ impl ExplainApp {
         )
     }
 
-    /// Measures one sampled explanation, feeds the live estimator,
+    /// Measures one explanation, feeds the live estimator,
     /// attributes the score to the request's phase collector, and
     /// folds the interface's rolling means back into the quality book.
     fn record_quality(
@@ -787,21 +778,14 @@ impl ExplainApp {
             provenance_depth: probe.provenance_depth,
             score: probe.score(),
         };
-        self.monitor.observe(&sample);
+        let stat = self.monitor.observe(&sample);
         exrec_obs::profile::quality_sample(sample.score);
-        let snapshot = self.monitor.snapshot();
-        if let Some(stat) = snapshot
-            .interfaces
-            .iter()
-            .find(|s| s.name == sample.interface)
-        {
-            self.book.refresh(
-                &stat.name,
-                stat.fidelity,
-                stat.coverage,
-                stat.provenance_depth,
-            );
-        }
+        self.book.refresh(
+            &stat.name,
+            stat.fidelity,
+            stat.coverage,
+            stat.provenance_depth,
+        );
     }
 }
 

@@ -29,7 +29,6 @@
 //!       [--watch-error-rate F]      5xx-per-second ceiling (default 1.0)
 //!       [--watch-shed-rate F]       sheds-per-second ceiling (default 100.0)
 //!       [--watch-incidents N]       incident-log capacity (default 64)
-//!       [--quality-sample N]  quality-sample 1-in-N explain requests (default 8; 0 = off)
 //!       [--quality-pairs N]   startup scoring pairs per interface (default 16)
 //!       [--wal-path PATH]     journal writes to PATH; warm-restart from
 //!                             PATH.snap + WAL tail on startup
@@ -89,7 +88,7 @@ fn usage() -> ! {
     eprintln!("             [--interface KEY] [--pool-threads N] [--exact] [--fault-injection]");
     eprintln!("             [--trace-seed S] [--slo-ms L] [--slo-target F]");
     eprintln!("             [--debug-endpoints] [--flight-capacity N]");
-    eprintln!("             [--quality-sample N] [--quality-pairs N]");
+    eprintln!("             [--quality-pairs N]");
     eprintln!("             [--wal-path PATH] [--fsync]");
     eprintln!("             [--ts-interval DUR] [--ts-retention N]");
     eprintln!("             [--watch-trip N] [--watch-clear N] [--watch-latency-zscore F]");
@@ -176,9 +175,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 }
-            }
-            "--quality-sample" => {
-                app_config.quality_sample_every = parse("--quality-sample", args.next())
             }
             "--quality-pairs" => app_config.quality_pairs = parse("--quality-pairs", args.next()),
             "--wal-path" => {
@@ -322,10 +318,7 @@ fn main() {
         }
     }
     if quality.samples > 0 {
-        eprintln!(
-            "== explanation quality (rolling window at drain, 1-in-{} sampled) ==",
-            quality.sample_every
-        );
+        eprintln!("== explanation quality (rolling window at drain, every explain probed) ==");
         eprintln!(
             "  overall: {} samples, score {:.3}, fidelity {:.3}{}",
             quality.samples,

@@ -259,10 +259,8 @@ pub struct DebugIncidentsBody {
 /// Live explanation-quality standing, as `/healthz` reports it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualityStandingBody {
-    /// Quality measurements sampled since start.
+    /// Explanations probed since start.
     pub samples: u64,
-    /// Configured 1-in-N sampling rate (`0` = sampling off).
-    pub sample_every: u64,
     /// Rolling mean scalar quality score in `[0, 1]`.
     pub mean_score: f64,
     /// Current consecutive-low-sample streak.
@@ -333,11 +331,6 @@ pub struct DebugWorldBody {
 pub struct ScanStatsBody {
     /// Serving scan mode: `"exact"` or `"pruned"`.
     pub mode: String,
-    /// Kernel tile size in use; `None` before the first scan tunes it.
-    pub tile_users: Option<usize>,
-    /// The startup autotuner's sweep, when tile selection was
-    /// automatic (empty under a fixed tile).
-    pub sweep: Vec<SweepPointBody>,
     /// Candidate-index (re)builds since start.
     pub index_builds: u64,
     /// Shape of the resident candidate index, if one has been built.
@@ -375,16 +368,6 @@ pub struct ScanStatsBody {
     /// build (drives the drift-threshold rebuild decision).
     #[serde(default)]
     pub patched_since_build: u64,
-}
-
-/// One autotuner measurement: a candidate tile size and the time the
-/// probe scans took under it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepPointBody {
-    /// Tile size (users per tile).
-    pub tile_users: usize,
-    /// Total probe-scan time under this tile, nanoseconds.
-    pub elapsed_ns: u64,
 }
 
 /// Shape of the resident candidate index.
@@ -433,7 +416,7 @@ pub struct WalBody {
 }
 
 /// Body of a 200 from `GET /debug/quality`: the offline-measured
-/// quality book, the live sampled estimator, and the aim-fit selection
+/// quality book, the live estimator, and the aim-fit selection
 /// both currently imply.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DebugQualityBody {

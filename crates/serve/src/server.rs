@@ -52,7 +52,7 @@ use crate::proto::{
     AimSelectionBody, BuildInfoBody, DebugIncidentsBody, DebugIngestBody, DebugProfileBody,
     DebugQualityBody, DebugRequestsBody, DebugWorldBody, ErrorBody, HealthResponse,
     IncidentStandingBody, IndexShapeBody, QualityStandingBody, ScanStatsBody, SloRouteBody,
-    SweepPointBody, WalBody,
+    WalBody,
 };
 use crate::queue::{Bounded, Popped, PushError};
 
@@ -105,7 +105,7 @@ pub struct ServerConfig {
 /// (`TsConfig::interval_ns`), so a shorter tick needs a busier route to
 /// page. Sustained-low quality is one `quality_sustained_low.<interface>`
 /// floor rule per interface at the quality monitor's `low_threshold`,
-/// judged only on ticks in which that interface was sampled.
+/// judged only on ticks in which that interface was probed.
 #[derive(Debug, Clone)]
 pub struct WatchTuning {
     /// Consecutive anomalous ticks before an incident opens.
@@ -981,7 +981,7 @@ fn debug_requests(shared: &Shared) -> Response {
 }
 
 /// `GET /debug/quality`: the measured quality book behind aim-fit
-/// selection, the live sampled estimator's snapshot, and the selection
+/// selection, the live estimator's snapshot, and the selection
 /// both currently imply per aim.
 fn debug_quality(shared: &Shared) -> Response {
     if !shared.config.debug_endpoints {
@@ -1128,15 +1128,6 @@ fn scan_body(app: &ExplainApp) -> Option<ScanStatsBody> {
     let matrix_revision = app.ratings_revision();
     app.scan_stats().map(|stats| ScanStatsBody {
         mode: app.scan_mode().to_owned(),
-        tile_users: stats.tile_users,
-        sweep: stats
-            .sweep
-            .iter()
-            .map(|&(tile_users, elapsed_ns)| SweepPointBody {
-                tile_users,
-                elapsed_ns,
-            })
-            .collect(),
         index_builds: stats.index_builds,
         index: stats
             .index_shape
@@ -1208,7 +1199,6 @@ fn health(shared: &Shared) -> Response {
             slo: slo_standing(shared),
             quality: Some(QualityStandingBody {
                 samples: quality.samples,
-                sample_every: quality.sample_every,
                 mean_score: quality.mean_score,
                 low_streak: quality.low_streak,
                 sustained_low: quality.sustained_low,

@@ -252,7 +252,6 @@ fn debug_world_and_healthz_expose_world_shape() {
     let scan = world.scan.expect("scan engine attached");
     assert_eq!(scan.mode, "pruned");
     assert!(scan.index_builds >= 1, "traffic built the candidate index");
-    assert!(scan.tile_users.is_some(), "autotuner picked a tile");
     // A 60-user world is far below the pruned fallback floor, so every
     // scan ran exact — and says so.
     assert!(scan.exact_scans > 0, "traffic moved the scan engine");

@@ -122,9 +122,8 @@ fn aim_fit_selection_beats_the_static_default_over_http() {
 
 #[test]
 fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
-    let handle = start_server(|server, app| {
+    let handle = start_server(|server, _| {
         server.debug_endpoints = true;
-        app.quality_sample_every = 1; // sample every explain request
     });
     let mut client = Connection::open(handle.addr()).unwrap();
 
@@ -166,7 +165,6 @@ fn sampled_quality_flows_to_metrics_healthz_and_flight_records() {
     assert_eq!(response.status, 200);
     let health: HealthResponse = serde_json::from_str(&response.body).unwrap();
     let quality = health.quality.expect("quality standing in healthz");
-    assert_eq!(quality.sample_every, 1);
     assert!(quality.samples >= served as u64);
     assert!((0.0..=1.0).contains(&quality.mean_score));
 
@@ -202,7 +200,6 @@ fn online_estimator_agrees_with_offline_fidelity_on_the_same_world() {
     // startup measurement of the same interface on the same world.
     let app = ExplainApp::new(
         AppConfig {
-            quality_sample_every: 1,
             quality_pairs: 40,
             ..common::test_world()
         },
@@ -319,13 +316,7 @@ fn pairs_by_score(
     interface: Option<&str>,
     pairs: impl IntoIterator<Item = (u32, u32)>,
 ) -> (Pairs, Pairs) {
-    let app = ExplainApp::new(
-        AppConfig {
-            quality_sample_every: 1,
-            ..world
-        },
-        Telemetry::default(),
-    );
+    let app = ExplainApp::new(world, Telemetry::default());
     let (mut high, mut low) = (Vec::new(), Vec::new());
     for (user, item) in pairs {
         let req = ExplainRequest {
@@ -385,7 +376,6 @@ fn explain_across_ticks(
 fn start_quality_server(world: AppConfig) -> ServerHandle {
     start_server(|server, app| {
         *app = world;
-        app.quality_sample_every = 1;
         server.debug_endpoints = true;
         server.ts.interval_ns = 25_000_000;
         server.watch.latency_zscore = f64::INFINITY;

@@ -47,9 +47,8 @@ fn disarm_watchdog(server: &mut ServerConfig) {
 
 #[test]
 fn sampler_retains_windowed_digests_under_steady_traffic() {
-    let handle = start_server(|server, app| {
+    let handle = start_server(|server, _| {
         disarm_watchdog(server);
-        app.quality_sample_every = 0;
     });
     let mut client = Connection::open(handle.addr()).unwrap();
 
@@ -104,7 +103,6 @@ fn induced_error_burst_latches_exactly_one_incident() {
     let handle = start_server(|server, app| {
         disarm_watchdog(server);
         app.fault_injection = true;
-        app.quality_sample_every = 0;
         // Re-arm only the 5xx-rate rule; an effectively-infinite clear
         // threshold keeps the incident latched for the assertions.
         server.watch.error_rate_max = 0.5;
@@ -192,9 +190,8 @@ fn induced_error_burst_latches_exactly_one_incident() {
 
 #[test]
 fn build_info_reports_schemas_in_health_and_world() {
-    let handle = start_server(|server, app| {
+    let handle = start_server(|server, _| {
         disarm_watchdog(server);
-        app.quality_sample_every = 0;
     });
     let mut client = Connection::open(handle.addr()).unwrap();
 
@@ -301,7 +298,6 @@ fn mixed_traffic_keeps_statuses_exposition_and_debug_bodies_sound() {
     let handle = start_server(|server, app| {
         disarm_watchdog(server);
         server.queue_bound = 2;
-        app.quality_sample_every = 1;
         app.wal_path = Some(wal);
     });
     let addr = handle.addr();
@@ -441,9 +437,8 @@ fn mixed_traffic_keeps_statuses_exposition_and_debug_bodies_sound() {
 
 #[test]
 fn obs_top_renders_a_live_server() {
-    let handle = start_server(|server, app| {
+    let handle = start_server(|server, _| {
         disarm_watchdog(server);
-        app.quality_sample_every = 0;
     });
     let addr = handle.addr();
     let mut client = Connection::open(addr).unwrap();
