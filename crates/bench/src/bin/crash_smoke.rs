@@ -32,6 +32,13 @@
 //!    `x-exrec-trace-id`, with route `recommend`. Every record logged in
 //!    any life must have been bad by the SLO: a 5xx, or slower than the
 //!    default 250 ms objective.
+//! 6. **One account:** before that SIGTERM, `/debug/requests` and
+//!    `/debug/profile` are read. The probe's record in the ring must
+//!    be the line logged for it (same `seq`, `phases` and
+//!    `duration_ns`), and the profile's `recommend` root must count
+//!    exactly the ring's `recommend` records and sum their
+//!    `duration_ns`; life 3 files far fewer requests than the ring
+//!    holds, so every one is still there.
 //!
 //! Crash-replay ≡ live ≡ clean-shutdown restart, checked on raw bytes.
 //! Exit code 0 only if every step holds. CI runs this as the
@@ -47,6 +54,7 @@ use std::time::{Duration, Instant};
 
 use exrec_obs::RequestRecord;
 use exrec_serve::client::{self, Connection, Response};
+use exrec_serve::proto::{DebugProfileBody, DebugRequestsBody};
 
 /// The deterministic world every `serve` child regenerates (plus
 /// `--users` [`USERS`]); small enough that three startups stay fast in
@@ -159,14 +167,13 @@ fn post_ok(addr: SocketAddr, path: &str, body: &str) -> String {
     response.body
 }
 
-/// `/debug/ingest` as a JSON value.
-fn debug_ingest(addr: SocketAddr) -> serde_json::Value {
-    let response = request(addr, "GET", "/debug/ingest", "");
+/// The body of a `GET` of debug surface `path`.
+fn debug<T: serde::Deserialize>(addr: SocketAddr, path: &str) -> T {
+    let response = request(addr, "GET", path, "");
     if response.status != 200 {
-        fail(&format!("GET /debug/ingest -> {}", response.status));
+        fail(&format!("GET {path} -> {}", response.status));
     }
-    serde_json::from_str(&response.body)
-        .unwrap_or_else(|e| fail(&format!("/debug/ingest parse: {e}")))
+    serde_json::from_str(&response.body).unwrap_or_else(|e| fail(&format!("{path} parse: {e}")))
 }
 
 /// Requests a sound edge must refuse: 20,000 nested `[` (a stack
@@ -342,6 +349,44 @@ fn check_request_log(records: &[RequestRecord], probe_trace: &str) {
     }
 }
 
+/// Checks that the profile's `recommend` root is the sum of the ring's
+/// `recommend` records, and that the delayed probe's ring record is the
+/// line the server logged for it.
+fn check_account(
+    (requests, profile): &(DebugRequestsBody, DebugProfileBody),
+    logged: &[RequestRecord],
+    probe_trace: &str,
+) {
+    if requests.recorded > requests.capacity as u64 {
+        fail("life 3 filed more requests than its flight ring holds");
+    }
+    let recommends = || requests.requests.iter().filter(|r| r.route == "recommend");
+    let calls = recommends().count() as u64;
+    let total_ns: u64 = recommends().map(|r| r.duration_ns).sum();
+    let root = profile
+        .routes
+        .iter()
+        .find(|r| r.name == "recommend")
+        .unwrap_or_else(|| fail("/debug/profile has no recommend route"));
+    if (root.calls, root.total_ns) != (calls, total_ns) {
+        fail(&format!(
+            "the recommend profile root reads {} calls and {} ns; the ring's recommend \
+             records number {calls} and sum to {total_ns} ns",
+            root.calls, root.total_ns
+        ));
+    }
+    let ring = recommends().find(|r| r.trace_id == probe_trace);
+    let line = logged.iter().find(|r| r.trace_id == probe_trace);
+    let (Some(ring), Some(line)) = (ring, line) else {
+        fail("the delayed probe is missing from the ring or the log");
+    };
+    if (ring.seq, &ring.phases, ring.duration_ns) != (line.seq, &line.phases, line.duration_ns) {
+        fail(&format!(
+            "the delayed probe's ring record differs from its logged line: {ring:?} vs {line:?}"
+        ));
+    }
+}
+
 fn main() {
     let started = Instant::now();
     let dir = std::env::temp_dir().join(format!("exrec-crash-smoke-{}", std::process::id()));
@@ -385,7 +430,7 @@ fn main() {
     // Life 2: recover from the WAL tail alone; then shut down cleanly.
     eprintln!("[crash_smoke] life 2: restarting over the WAL tail");
     let server = spawn_serve(&wal);
-    let ingest = debug_ingest(server.addr);
+    let ingest = debug::<serde_json::Value>(server.addr, "/debug/ingest");
     if ingest.get("snapshot_loaded").and_then(|v| v.as_bool()) != Some(false) {
         fail("life 2 found a snapshot that should not exist");
     }
@@ -413,7 +458,7 @@ fn main() {
     // Life 3: the clean-shutdown control — snapshot, empty tail.
     eprintln!("[crash_smoke] life 3: restarting from the compaction snapshot");
     let server = spawn_serve(&wal);
-    let ingest = debug_ingest(server.addr);
+    let ingest = debug::<serde_json::Value>(server.addr, "/debug/ingest");
     if ingest.get("snapshot_loaded").and_then(|v| v.as_bool()) != Some(true) {
         fail("life 3 must warm-start from the compaction snapshot");
     }
@@ -452,8 +497,13 @@ fn main() {
     // The request log: a probe held past the objective is logged once.
     eprintln!("[crash_smoke] life 3: a probe slower than the SLO objective");
     let probe_trace = slow_probe(server.addr, &live);
+    let account = (
+        debug(server.addr, "/debug/requests"),
+        debug(server.addr, "/debug/profile"),
+    );
     logged.extend(terminate(server));
     check_request_log(&logged, &probe_trace);
+    check_account(&account, &logged, &probe_trace);
 
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!(

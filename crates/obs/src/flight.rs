@@ -2,20 +2,14 @@
 //!
 //! A [`RequestRecord`] is a served request's whole account: its trace
 //! id, route, status, duration and per-phase breakdown. The
-//! [`FlightRecorder`] keeps the last N of them in a bounded,
-//! lock-striped ring, written by the serving edge for *every* request,
-//! so an incident can ask "what were the last 200 requests this process
-//! served?".
+//! [`FlightRecorder`] keeps the last N of them in one bounded ring,
+//! written by the serving edge for *every* request, so an incident can
+//! ask "what were the last 200 requests this process served?".
 //!
-//! * **Lock-striped ring.** Records round-robin over `stripes`
-//!   mutex-guarded deques by sequence number; each stripe holds
-//!   `capacity / stripes` records and evicts its oldest on overflow,
-//!   so the recorder as a whole retains exactly the last `capacity`
-//!   records. Writers contend only one-in-`stripes` of the time.
-//! * **Torn-record-free.** A record is assigned its sequence number
-//!   atomically and inserted whole under its stripe's lock; readers
-//!   ([`FlightRecorder::snapshot`]) merge the stripes and sort by
-//!   sequence, so the dump is globally ordered.
+//! * **One ring, one lock.** A record draws its sequence number and
+//!   enters the ring in the same critical section, evicting the oldest
+//!   record when full, so the ring always holds the last `capacity`
+//!   records in `seq` order and a record is never seen torn.
 //! * **Dumped once per incident.** The recorder dumps nothing by
 //!   itself: the watchdog ([`crate::watch::Watchdog`]) dumps the ring to
 //!   stderr once per incident it opens, whether a rule tripped or a
@@ -24,12 +18,12 @@
 //!   one record as it lands, in the dump's line format; the serving
 //!   edge does this for each request that spent SLO error budget.
 
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
+
+use crate::ring::Ring;
 
 /// Version of the [`RequestRecord`] JSON shape. Bumped to 2 when the
 /// sampled `quality` field was added, to 3 for the write-path `ingest`
@@ -37,24 +31,6 @@ use serde::{Deserialize, Serialize};
 /// Older dumps still parse: missing fields default to `None` and
 /// dropped fields are ignored.
 pub const RECORD_SCHEMA: u32 = 4;
-
-/// Shape of a [`FlightRecorder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightConfig {
-    /// Total records retained. Rounded up to a multiple of `stripes`.
-    pub capacity: usize,
-    /// Lock stripes; writers contend only within a stripe.
-    pub stripes: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            capacity: 256,
-            stripes: 8,
-        }
-    }
-}
 
 /// One completed request, as the black box remembers it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,103 +91,80 @@ impl RequestRecord {
     }
 }
 
-/// The bounded, lock-striped ring of the last N request records.
+/// The bounded ring of the last N request records.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<VecDeque<RequestRecord>>>,
-    per_stripe: usize,
-    seq: AtomicU64,
+    state: Mutex<FlightState>,
+}
+
+/// The ring and the count of records ever filed, which is also the
+/// next record's sequence number.
+#[derive(Debug)]
+struct FlightState {
+    ring: Ring<RequestRecord>,
+    recorded: u64,
 }
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::new(FlightConfig::default())
+        FlightRecorder::new(256)
     }
 }
 
 impl FlightRecorder {
-    /// A recorder retaining `config.capacity` records (rounded up to a
-    /// stripe multiple).
-    pub fn new(config: FlightConfig) -> Self {
-        let stripes = config.stripes.max(1);
-        let per_stripe = config.capacity.div_ceil(stripes).max(1);
+    /// A recorder retaining the last `capacity` (at least 1) records.
+    pub fn new(capacity: usize) -> Self {
         FlightRecorder {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_stripe)))
-                .collect(),
-            per_stripe,
-            seq: AtomicU64::new(0),
+            state: Mutex::new(FlightState {
+                ring: Ring::new(capacity),
+                recorded: 0,
+            }),
         }
     }
 
     /// Total records the ring retains.
     pub fn capacity(&self) -> usize {
-        self.per_stripe * self.stripes.len()
+        lock!(self.state.lock()).ring.capacity()
     }
 
     /// Records completed so far (monotonic, not bounded by capacity).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        lock!(self.state.lock()).recorded
     }
 
-    /// Records currently resident.
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends one completed request, evicting the stripe's oldest
-    /// record when full. The record's `seq` field is assigned here;
-    /// returns it.
+    /// Appends one completed request, evicting the oldest record when
+    /// full. The record's `seq` field is assigned here; returns it.
     pub fn record(&self, record: RequestRecord) -> u64 {
-        self.insert(record, None)
+        self.insert(record, |filed| filed.seq)
     }
 
     /// [`FlightRecorder::record`], also writing the record (with its
     /// `seq`) to `log` as one JSON line in the [`FlightRecorder::dump`]
-    /// format.
+    /// format. The write happens after the ring's lock is released, so
+    /// a stalled `log` delays only this caller.
     pub fn record_logged(&self, record: RequestRecord, log: &mut dyn Write) -> u64 {
-        self.insert(record, Some(log))
+        let filed = self.insert(record, RequestRecord::clone);
+        write_line(log, &filed);
+        filed.seq
     }
 
-    fn insert(&self, mut record: RequestRecord, log: Option<&mut dyn Write>) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        record.seq = seq;
-        if let Some(log) = log {
-            write_line(log, &record);
-        }
-        let stripe = &self.stripes[(seq % self.stripes.len() as u64) as usize];
-        let mut ring = stripe.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() == self.per_stripe {
-            ring.pop_front();
-        }
-        ring.push_back(record);
-        seq
+    /// Files `record` under the next sequence number, passing it as
+    /// filed to `filed` before it enters the ring. The record it evicts
+    /// is freed after the lock is released.
+    fn insert<T>(&self, mut record: RequestRecord, filed: impl FnOnce(&RequestRecord) -> T) -> T {
+        let mut state = lock!(self.state.lock());
+        record.seq = state.recorded;
+        state.recorded += 1;
+        let out = filed(&record);
+        let evicted = state.ring.push(record);
+        drop(state);
+        drop(evicted);
+        out
     }
 
-    /// The resident records, oldest first (globally ordered by
-    /// completion sequence).
+    /// The resident records, oldest first (in completion sequence).
     pub fn snapshot(&self) -> Vec<RequestRecord> {
-        let mut records: Vec<RequestRecord> = self
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        records.sort_by_key(|r| r.seq);
-        records
+        lock!(self.state.lock()).ring.to_vec()
     }
 
     /// Dumps the ring to `w` as JSON lines, framed by `reason` markers
@@ -228,11 +181,6 @@ impl FlightRecorder {
             write_line(w, record);
         }
         let _ = writeln!(w, "[flight] === end dump ({reason}) ===");
-    }
-
-    /// [`FlightRecorder::dump`] to stderr.
-    pub fn dump_stderr(&self, reason: &str) {
-        self.dump(&mut std::io::stderr().lock(), reason);
     }
 }
 
@@ -279,10 +227,7 @@ mod tests {
 
     #[test]
     fn ring_retains_exactly_the_last_capacity_records_in_order() {
-        let recorder = FlightRecorder::new(FlightConfig {
-            capacity: 16,
-            stripes: 4,
-        });
+        let recorder = FlightRecorder::new(16);
         assert_eq!(recorder.capacity(), 16);
         for i in 0..100 {
             let seq = recorder.record(record_for("recommend", 200));
@@ -301,32 +246,51 @@ mod tests {
 
     #[test]
     fn hammer_no_lost_or_torn_records() {
-        let recorder = Arc::new(FlightRecorder::new(FlightConfig {
-            capacity: 64,
-            stripes: 8,
-        }));
+        let recorder = Arc::new(FlightRecorder::new(64));
         let threads = 8;
         let per_thread = 500u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let recorder = Arc::clone(&recorder);
-                scope.spawn(move || {
-                    let route = format!("route-{t}");
-                    for i in 0..per_thread {
-                        let mut rec = record_for(&route, 200);
-                        // A writer-specific fingerprint spread across
-                        // fields; a torn record would mismatch.
-                        rec.duration_ns = t * 10_000 + i;
-                        rec.trace_id = format!("{t}-{i}");
-                        recorder.record(rec);
-                    }
-                });
-            }
+        let logs: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let recorder = Arc::clone(&recorder);
+                    scope.spawn(move || {
+                        let route = format!("route-{t}");
+                        let mut log = Vec::new();
+                        for i in 0..per_thread {
+                            let mut rec = record_for(&route, 200);
+                            // A writer-specific fingerprint spread across
+                            // fields; a torn record would mismatch.
+                            rec.duration_ns = t * 10_000 + i;
+                            rec.trace_id = format!("{t}-{i}");
+                            // Every other record is logged as it lands.
+                            if i % 2 == 0 {
+                                recorder.record_logged(rec, &mut log);
+                            } else {
+                                recorder.record(rec);
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert_eq!(recorder.recorded(), threads * per_thread);
         let records = recorder.snapshot();
         assert_eq!(records.len(), 64, "ring stays at capacity under load");
+        let logged: std::collections::HashMap<String, u64> = logs
+            .iter()
+            .flat_map(|log| std::str::from_utf8(log).unwrap().lines())
+            .map(|line| serde_json::from_str::<RequestRecord>(line).expect("JSON line"))
+            .map(|r| (r.trace_id, r.seq))
+            .collect();
+        assert_eq!(
+            logged.len() as u64,
+            threads * per_thread / 2,
+            "one line each"
+        );
         let mut seen = std::collections::HashSet::new();
+        let mut matched = 0;
         for r in &records {
             assert!(seen.insert(r.seq), "sequence numbers are unique");
             // Fingerprint consistency across fields = not torn.
@@ -338,7 +302,13 @@ mod tests {
                 "record fields are consistent"
             );
             assert_eq!(r.route, format!("route-{t}"));
+            // A logged line's seq names the ring record of its trace id.
+            if i % 2 == 0 {
+                assert_eq!(logged.get(&r.trace_id), Some(&r.seq), "{}", r.trace_id);
+                matched += 1;
+            }
         }
+        assert!(matched > 0, "the retained window holds logged records");
         // The retained window is the tail of the global sequence.
         let min_seq = records.iter().map(|r| r.seq).min().unwrap();
         assert_eq!(min_seq, threads * per_thread - 64);
@@ -348,10 +318,7 @@ mod tests {
 
     #[test]
     fn dump_writes_parseable_json_lines() {
-        let recorder = FlightRecorder::new(FlightConfig {
-            capacity: 4,
-            stripes: 2,
-        });
+        let recorder = FlightRecorder::new(4);
         for _ in 0..6 {
             recorder.record(record_for("explain", 504));
         }

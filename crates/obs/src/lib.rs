@@ -23,18 +23,19 @@
 //!   point of every start offset;
 //! * **exposition** — [`promtext::render`] exposes the whole registry
 //!   as Prometheus text exposition 0.0.4;
-//! * **phase profiling** — [`profile::Profiler`] is an always-on
-//!   cooperative profiler: scoped RAII [`profile::phase`] guards nest
-//!   into a per-route tree with atomic self-time/call-count
-//!   aggregation, exported as JSON or collapsed-stack text for
-//!   flamegraph tooling. [`profile::current`]/[`profile::install`]
-//!   carry a request's phase context across threads (the batch pool
-//!   does this for its workers);
+//! * **phase profiling** — scoped RAII [`profile::phase`] guards time
+//!   each phase once, into the request's [`profile::PhaseCollector`]
+//!   (calls and nanoseconds per phase path);
+//!   [`profile::current`]/[`profile::install`] carry a request's
+//!   context across threads (the batch pool does this for its
+//!   workers). [`profile::Profiler`] is the per-route tree, the sum of
+//!   the filed requests' collectors, exported as JSON or
+//!   collapsed-stack text for flamegraph tooling;
 //! * **flight recording** — [`flight::FlightRecorder`] is the black
-//!   box and the request trace: a bounded lock-striped ring of the last
-//!   N completed request records, dumped to stderr once per watchdog
-//!   incident; the serving edge also writes each record that was bad
-//!   by the SLO to stderr as it completes;
+//!   box and the request trace: one bounded ring, under one lock, of
+//!   the last N completed request records in `seq` order, dumped to
+//!   stderr once per watchdog incident; the serving edge also writes
+//!   each record that was bad by the SLO to stderr as it completes;
 //! * **time series** — [`timeseries::TimeSeries`] periodically
 //!   snapshots the whole registry into bounded per-series rings:
 //!   counters become per-interval rates, histograms become
@@ -71,18 +72,29 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+/// Recovers a poisoned std lock guard. Every structure behind a lock in
+/// this crate is valid after each update (atomics, whole-record pushes,
+/// plain sums), so a thread that panicked holding one left nothing half
+/// built worth failing the caller over.
+macro_rules! lock {
+    ($guard:expr) => {
+        $guard.unwrap_or_else(|poisoned| poisoned.into_inner())
+    };
+}
+
 pub mod flight;
 pub mod meta;
 pub mod metrics;
 pub mod profile;
 pub mod promtext;
 pub mod quality;
+mod ring;
 pub mod span;
 pub mod timeseries;
 pub mod trace;
 pub mod watch;
 
-pub use flight::{FlightConfig, FlightRecorder, IngestRecord, RequestRecord};
+pub use flight::{FlightRecorder, IngestRecord, RequestRecord};
 pub use meta::RunMeta;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramRaw, HistogramSummary, Metrics, MetricsReport,

@@ -120,6 +120,19 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     bucket_bound(i.min(N_BUCKETS - 1))
 }
 
+/// Raw per-bucket snapshot of one histogram, for renderers that need
+/// the full distribution rather than a digest (Prometheus exposition
+/// emits cumulative buckets). The default is the empty histogram.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HistogramRaw {
+    /// Per-bucket sample counts; bucket `i` spans `[2^(i-1), 2^i)` ns.
+    pub buckets: Vec<u64>,
+    /// Total samples (sum of `buckets`, cut from the same snapshot).
+    pub count: u64,
+    /// Running sum of recorded nanoseconds.
+    pub sum_ns: u64,
+}
+
 impl Histogram {
     /// Records one sample, saturating above [`MAX_TRACKED_NS`]. The sum
     /// accumulator saturates at `u64::MAX` rather than wrapping, so the
@@ -137,7 +150,7 @@ impl Histogram {
 
     /// Records a [`Duration`] sample.
     pub fn record(&self, elapsed: Duration) {
-        self.record_ns(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.record_ns(crate::trace::duration_ns(elapsed));
     }
 
     /// Number of recorded samples.
@@ -145,60 +158,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Cuts a consistent-enough summary. Concurrent writers may add
-    /// samples mid-snapshot; every load is atomic so no value is torn,
-    /// and quantile ranks are computed against the bucket total rather
-    /// than the sample counter so they stay internally consistent.
-    pub fn summarize(&self) -> HistogramSummary {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = buckets.iter().sum();
-        let sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        let quantile = |q: f64| -> u64 {
-            if total == 0 {
-                return 0;
-            }
-            let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-            let mut seen = 0;
-            for (i, &c) in buckets.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return bucket_bound(i);
-                }
-            }
-            bucket_bound(N_BUCKETS - 1)
-        };
-        HistogramSummary {
-            count: total,
-            mean_ns: if total == 0 {
-                0.0
-            } else {
-                sum_ns as f64 / total as f64
-            },
-            p50_ns: quantile(0.50),
-            p95_ns: quantile(0.95),
-            p99_ns: quantile(0.99),
-        }
-    }
-}
-
-/// Raw per-bucket snapshot of one histogram, for renderers that need
-/// the full distribution rather than a digest (Prometheus exposition
-/// emits cumulative buckets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramRaw {
-    /// Per-bucket sample counts; bucket `i` spans `[2^(i-1), 2^i)` ns.
-    pub buckets: Vec<u64>,
-    /// Total samples (sum of `buckets`, cut from the same snapshot).
-    pub count: u64,
-    /// Running sum of recorded nanoseconds.
-    pub sum_ns: u64,
-}
-
-impl Histogram {
     /// Cuts a raw per-bucket snapshot. `count` is derived from the
     /// bucket loads so the snapshot is internally consistent under
     /// concurrent writers.
@@ -214,6 +173,17 @@ impl Histogram {
             count,
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
         }
+    }
+
+    /// Cuts a consistent-enough summary: the digest of a [`raw`]
+    /// snapshot taken since an empty one. Concurrent writers may add
+    /// samples mid-snapshot; every load is atomic so no value is torn,
+    /// and quantile ranks are computed against the bucket total rather
+    /// than the sample counter so they stay internally consistent.
+    ///
+    /// [`raw`]: Histogram::raw
+    pub fn summarize(&self) -> HistogramSummary {
+        self.raw().since(&HistogramRaw::default())
     }
 }
 
@@ -290,15 +260,6 @@ pub struct Metrics {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
-/// Recovers from a poisoned std lock: metric state is a grid of atomics,
-/// always valid, so a writer that panicked mid-registration left nothing
-/// half-built worth dying over.
-macro_rules! lock {
-    ($guard:expr) => {
-        $guard.unwrap_or_else(|poisoned| poisoned.into_inner())
-    };
-}
-
 impl Metrics {
     /// A fresh, empty registry.
     pub fn new() -> Self {
@@ -307,36 +268,17 @@ impl Metrics {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = lock!(self.counters.read()).get(name) {
-            return c.clone();
-        }
-        lock!(self.counters.write())
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        intern(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = lock!(self.gauges.read()).get(name) {
-            return g.clone();
-        }
-        lock!(self.gauges.write())
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        intern(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = lock!(self.histograms.read()).get(name) {
-            return Arc::clone(h);
-        }
-        Arc::clone(
-            lock!(self.histograms.write())
-                .entry(name.to_owned())
-                .or_default(),
-        )
+        intern(&self.histograms, name)
     }
 
     /// Raw per-bucket snapshots of every registered histogram, keyed by
@@ -365,6 +307,18 @@ impl Metrics {
                 .collect(),
         }
     }
+}
+
+/// The instrument named `name` in `registry`, created on first use; a
+/// handle to the same cell every time.
+fn intern<T: Clone + Default>(registry: &RwLock<BTreeMap<String, T>>, name: &str) -> T {
+    if let Some(found) = lock!(registry.read()).get(name) {
+        return found.clone();
+    }
+    lock!(registry.write())
+        .entry(name.to_owned())
+        .or_default()
+        .clone()
 }
 
 /// Serializable snapshot of a [`Metrics`] registry.

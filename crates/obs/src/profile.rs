@@ -1,98 +1,43 @@
 //! Always-on cooperative phase profiler for the serving hot path.
 //!
-//! Tail-sampled traces (PR 7) say *which* requests were slow; they do
-//! not attribute self-time to phases — was it the similarity scan, the
-//! top-k sort, evidence gathering? This module answers that with a
-//! profiler cheap enough to leave enabled in production:
+//! A request's flight record says how long it took; this module says
+//! where the time went — the similarity scan, the top-k sort, evidence
+//! gathering — cheaply enough to leave enabled in production:
 //!
 //! * **Phases are scoped RAII guards.** [`phase`] opens a named region
-//!   on the current thread; dropping the guard attributes the elapsed
-//!   time. Nesting guards builds a call tree.
-//! * **The tree is keyed by route.** [`Profiler::route`] installs a
-//!   per-request context; every phase opened beneath it (on this
-//!   thread or, via [`current`]/[`install`], on batch workers) lands
-//!   under that route's root in the shared [`Profiler`] tree.
-//! * **Aggregation is atomic.** Each tree node keeps call count,
-//!   inclusive time and accumulated child time in relaxed atomics;
-//!   self-time is derived at snapshot time (`total − children`,
+//!   on the current thread; dropping the guard adds one call and the
+//!   elapsed time to the request's [`PhaseCollector`] under the phase's
+//!   `;`-joined path. Nesting guards builds the path.
+//! * **A request is the unit.** The serving edge [`install`]s a
+//!   [`ProfileCtx::new`] per request; every phase opened beneath it (on
+//!   this thread or, via [`current`]/[`install`], on batch workers)
+//!   lands in that request's collector and nowhere else.
+//! * **The tree is the sum of filed requests.** When the edge files a
+//!   request, [`Profiler::add`] folds its collector into the shared
+//!   per-route tree once: the route root gains one call and the
+//!   request's duration, each phase node its calls and nanoseconds.
+//!   Self-time is derived at snapshot time (`total − children`,
 //!   saturating — parallel children can legitimately exceed the
-//!   parent's wall clock). The only locks are short read-mostly
-//!   `RwLock`s on the children maps, taken on first descent into a
-//!   phase.
-//! * **When no route is active, [`phase`] is a no-op** — one
+//!   parent's wall clock).
+//! * **When no context is active, [`phase`] is a no-op** — one
 //!   thread-local read. Library code can therefore instrument
 //!   unconditionally.
 //!
-//! Two exports: [`Profiler::snapshot`] (a serde tree for
-//! `GET /debug/profile`) and [`Profiler::collapsed`] (collapsed-stack
-//! text — `route;phase;subphase self_ns` per line — which flamegraph
-//! tooling consumes directly).
-//!
-//! Each request additionally gets a [`PhaseCollector`]: a per-request
-//! accumulator of phase path → nanoseconds, which the serving edge
-//! copies into the flight recorder so a single request's breakdown
-//! survives after the fact.
+//! [`Profiler::snapshot`] is a serde tree for `GET /debug/profile`, and
+//! [`ProfileReport::collapsed`] renders the same snapshot as
+//! collapsed-stack text — `route;phase;subphase self_ns` per line —
+//! which flamegraph tooling consumes directly.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-/// One node of the hierarchical profile tree. All counters are relaxed
-/// atomics; concurrent guards on many threads aggregate without locks.
-#[derive(Debug, Default)]
-struct PhaseNode {
-    calls: AtomicU64,
-    total_ns: AtomicU64,
-    /// Inclusive time accumulated by direct children (possibly from
-    /// parallel workers, so it may exceed `total_ns`).
-    child_ns: AtomicU64,
-    children: RwLock<BTreeMap<&'static str, Arc<PhaseNode>>>,
-}
-
-impl PhaseNode {
-    /// The child named `name`, created on first descent.
-    fn child(&self, name: &'static str) -> Arc<PhaseNode> {
-        if let Some(node) = self
-            .children
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(name)
-        {
-            return Arc::clone(node);
-        }
-        let mut children = self.children.write().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(children.entry(name).or_default())
-    }
-
-    fn add(&self, elapsed_ns: u64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, name: &str) -> PhaseSnapshot {
-        let children: Vec<PhaseSnapshot> = self
-            .children
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(child_name, node)| node.snapshot(child_name))
-            .collect();
-        let total_ns = self.total_ns.load(Ordering::Relaxed);
-        let child_ns = self.child_ns.load(Ordering::Relaxed);
-        PhaseSnapshot {
-            name: name.to_owned(),
-            calls: self.calls.load(Ordering::Relaxed),
-            total_ns,
-            self_ns: total_ns.saturating_sub(child_ns),
-            children,
-        }
-    }
-}
+use crate::trace::duration_ns;
 
 /// One node of a profile snapshot: inclusive time, derived self-time
 /// and call count, with children nested beneath.
@@ -100,9 +45,10 @@ impl PhaseNode {
 pub struct PhaseSnapshot {
     /// Phase name (route name at the root).
     pub name: String,
-    /// Times this phase was entered.
+    /// Times this phase was entered (requests filed, at the root).
     pub calls: u64,
-    /// Inclusive nanoseconds across all calls.
+    /// Inclusive nanoseconds across all calls (the filed requests'
+    /// durations, at the root).
     pub total_ns: u64,
     /// `total_ns` minus child inclusive time, saturating at zero
     /// (parallel children can overlap the parent's wall clock).
@@ -118,12 +64,39 @@ pub struct ProfileReport {
     pub routes: Vec<PhaseSnapshot>,
 }
 
-/// Per-request accumulator: phase path → nanoseconds. The serving
-/// edge hands one to [`Profiler::route`] and copies the result into
-/// the request's flight record.
+impl ProfileReport {
+    /// Collapsed-stack rendering: one `route;phase;subphase self_ns`
+    /// line per tree node with nonzero self-time, the input format of
+    /// flamegraph tooling (`flamegraph.pl`, inferno, speedscope).
+    pub fn collapsed(&self) -> String {
+        let mut out = String::new();
+        for route in &self.routes {
+            collapse_into(&mut out, &route.name, route);
+        }
+        out
+    }
+}
+
+fn collapse_into(out: &mut String, stack: &str, node: &PhaseSnapshot) {
+    if node.self_ns > 0 {
+        out.push_str(stack);
+        out.push(' ');
+        out.push_str(&node.self_ns.to_string());
+        out.push('\n');
+    }
+    for child in &node.children {
+        let frame = format!("{stack};{}", child.name);
+        collapse_into(out, &frame, child);
+    }
+}
+
+/// Per-request account: phase path → calls and nanoseconds. The serving
+/// edge copies the nanoseconds into the request's flight record and
+/// folds the whole account into the [`Profiler`].
 #[derive(Debug, Default)]
 pub struct PhaseCollector {
-    phases: Mutex<BTreeMap<String, u64>>,
+    /// `;`-joined path → `(calls, nanoseconds)`.
+    phases: Mutex<BTreeMap<String, (u64, u64)>>,
     /// Sampled quality score, stored as `(score * 1e6) + 1` so the
     /// atomic's zero default means "not sampled".
     quality_micro: AtomicU64,
@@ -135,21 +108,28 @@ impl PhaseCollector {
         Self::default()
     }
 
-    /// Adds `elapsed` under `path` (`;`-joined phase names relative to
-    /// the route root, e.g. `"handle;scan"`). Repeated paths sum.
+    /// Adds one call of `elapsed` under `path` (`;`-joined phase names
+    /// relative to the route root, e.g. `"handle;scan"`). Repeated
+    /// paths sum.
     pub fn add(&self, path: &str, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let mut phases = self.phases.lock().unwrap_or_else(|p| p.into_inner());
-        *phases.entry(path.to_owned()).or_insert(0) += ns;
+        let ns = duration_ns(elapsed);
+        let mut phases = lock!(self.phases.lock());
+        match phases.get_mut(path) {
+            Some((calls, total)) => {
+                *calls += 1;
+                *total = total.saturating_add(ns);
+            }
+            None => {
+                phases.insert(path.to_owned(), (1, ns));
+            }
+        }
     }
 
     /// The accumulated `(path, nanoseconds)` pairs, sorted by path.
     pub fn phases(&self) -> Vec<(String, u64)> {
-        self.phases
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+        lock!(self.phases.lock())
             .iter()
-            .map(|(path, &ns)| (path.clone(), ns))
+            .map(|(path, &(_, ns))| (path.clone(), ns))
             .collect()
     }
 
@@ -171,24 +151,26 @@ impl PhaseCollector {
     }
 }
 
-/// The profiling context active on a thread: where in the tree new
-/// phases attach, and which request collects them. Cloneable so the
-/// batch pool can capture it at submit ([`current`]) and [`install`]
-/// it in each worker.
-#[derive(Clone)]
+/// The profiling context active on a thread: which request collects
+/// new phases, and the path they nest under. Cloneable so the batch
+/// pool can capture it at submit ([`current`]) and [`install`] it in
+/// each worker.
+#[derive(Debug, Clone)]
 pub struct ProfileCtx {
-    node: Arc<PhaseNode>,
     collector: Arc<PhaseCollector>,
     /// `;`-joined phase path relative to the route root; empty at the
     /// root itself.
     path: Arc<str>,
 }
 
-impl std::fmt::Debug for ProfileCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfileCtx")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
+impl ProfileCtx {
+    /// A request's root context: phases opened under it land in
+    /// `collector` at the top level.
+    pub fn new(collector: Arc<PhaseCollector>) -> Self {
+        ProfileCtx {
+            collector,
+            path: Arc::from(""),
+        }
     }
 }
 
@@ -196,10 +178,54 @@ thread_local! {
     static ACTIVE: RefCell<Vec<ProfileCtx>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The always-on profile tree, keyed by route.
+/// One node of the per-route tree: plain sums, guarded by the
+/// profiler's one lock.
+#[derive(Debug, Default)]
+struct Node {
+    calls: u64,
+    total_ns: u64,
+    children: BTreeMap<String, Node>,
+}
+
+impl Node {
+    /// The child named `name`, created on first descent.
+    fn child(&mut self, name: &str) -> &mut Node {
+        if !self.children.contains_key(name) {
+            self.children.insert(name.to_owned(), Node::default());
+        }
+        self.children.get_mut(name).expect("inserted above")
+    }
+
+    fn add(&mut self, calls: u64, ns: u64) {
+        self.calls = self.calls.saturating_add(calls);
+        self.total_ns = self.total_ns.saturating_add(ns);
+    }
+
+    fn snapshot(&self, name: &str) -> PhaseSnapshot {
+        let children: Vec<PhaseSnapshot> = self
+            .children
+            .iter()
+            .map(|(child_name, node)| node.snapshot(child_name))
+            .collect();
+        let child_ns = children
+            .iter()
+            .fold(0u64, |sum, c| sum.saturating_add(c.total_ns));
+        PhaseSnapshot {
+            name: name.to_owned(),
+            calls: self.calls,
+            total_ns: self.total_ns,
+            self_ns: self.total_ns.saturating_sub(child_ns),
+            children,
+        }
+    }
+}
+
+/// The always-on profile tree, keyed by route: the sum of every
+/// request folded in with [`Profiler::add`].
 #[derive(Debug, Default)]
 pub struct Profiler {
-    routes: RwLock<BTreeMap<String, Arc<PhaseNode>>>,
+    /// Routes are the children of an unnamed top node.
+    routes: Mutex<Node>,
 }
 
 impl Profiler {
@@ -208,105 +234,27 @@ impl Profiler {
         Self::default()
     }
 
-    fn root(&self, route: &str) -> Arc<PhaseNode> {
-        if let Some(node) = self
-            .routes
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(route)
-        {
-            return Arc::clone(node);
+    /// Folds one filed request into `route`'s tree: the root gains one
+    /// call and `duration_ns`, and each phase path in `collector` its
+    /// calls and nanoseconds.
+    pub fn add(&self, route: &str, duration_ns: u64, collector: &PhaseCollector) {
+        let phases = lock!(collector.phases.lock());
+        let mut routes = lock!(self.routes.lock());
+        let root = routes.child(route);
+        root.add(1, duration_ns);
+        for (path, &(calls, ns)) in phases.iter() {
+            path.split(';')
+                .fold(&mut *root, |node, name| node.child(name))
+                .add(calls, ns);
         }
-        let mut routes = self.routes.write().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(routes.entry(route.to_owned()).or_default())
-    }
-
-    /// Installs `route` as this thread's profiling context until the
-    /// guard drops; phases opened beneath attach to the route's tree
-    /// and accumulate into `collector`. The guard's own elapsed time
-    /// is added to the route root.
-    pub fn route(&self, route: &str, collector: Arc<PhaseCollector>) -> RouteGuard {
-        let node = self.root(route);
-        ACTIVE.with(|stack| {
-            stack.borrow_mut().push(ProfileCtx {
-                node: Arc::clone(&node),
-                collector,
-                path: Arc::from(""),
-            });
-        });
-        RouteGuard {
-            started: Instant::now(),
-            node,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Attributes an externally-measured duration (e.g. queue wait or
-    /// request parsing, which happen before the route is known) as a
-    /// direct child of `route`'s root, also growing the root's
-    /// inclusive time so route totals approximate full request time.
-    pub fn record_external(&self, route: &str, phase: &'static str, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let root = self.root(route);
-        root.child(phase).add(ns);
-        root.child_ns.fetch_add(ns, Ordering::Relaxed);
-        root.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// A serializable snapshot of every route's tree.
     pub fn snapshot(&self) -> ProfileReport {
+        let routes = lock!(self.routes.lock());
         ProfileReport {
-            routes: self
-                .routes
-                .read()
-                .unwrap_or_else(|p| p.into_inner())
-                .iter()
-                .map(|(route, node)| node.snapshot(route))
-                .collect(),
+            routes: routes.snapshot("").children,
         }
-    }
-
-    /// Collapsed-stack rendering: one `route;phase;subphase self_ns`
-    /// line per tree node with nonzero self-time, the input format of
-    /// flamegraph tooling (`flamegraph.pl`, inferno, speedscope).
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for route in self.snapshot().routes {
-            collapse_into(&mut out, &route.name, &route);
-        }
-        out
-    }
-}
-
-fn collapse_into(out: &mut String, stack: &str, node: &PhaseSnapshot) {
-    if node.self_ns > 0 {
-        out.push_str(stack);
-        out.push(' ');
-        out.push_str(&node.self_ns.to_string());
-        out.push('\n');
-    }
-    for child in &node.children {
-        let frame = format!("{stack};{}", child.name);
-        collapse_into(out, &frame, child);
-    }
-}
-
-/// RAII guard for an active route context; see [`Profiler::route`].
-/// Not `Send` — it must drop on the thread that opened it.
-#[derive(Debug)]
-pub struct RouteGuard {
-    started: Instant,
-    node: Arc<PhaseNode>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for RouteGuard {
-    fn drop(&mut self) {
-        let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.node.add(elapsed);
-        ACTIVE.with(|stack| {
-            stack.borrow_mut().pop();
-        });
     }
 }
 
@@ -314,8 +262,6 @@ impl Drop for RouteGuard {
 #[derive(Debug)]
 pub struct PhaseGuard {
     started: Instant,
-    node: Arc<PhaseNode>,
-    parent: Arc<PhaseNode>,
     collector: Arc<PhaseCollector>,
     path: Arc<str>,
     _not_send: PhantomData<*const ()>,
@@ -323,11 +269,7 @@ pub struct PhaseGuard {
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let elapsed = self.started.elapsed();
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.node.add(ns);
-        self.parent.child_ns.fetch_add(ns, Ordering::Relaxed);
-        self.collector.add(&self.path, elapsed);
+        self.collector.add(&self.path, self.started.elapsed());
         ACTIVE.with(|stack| {
             stack.borrow_mut().pop();
         });
@@ -335,27 +277,23 @@ impl Drop for PhaseGuard {
 }
 
 /// Opens phase `name` under the innermost active context. Returns
-/// `None` (and does nothing else) when no route is active on this
+/// `None` (and does nothing else) when no context is active on this
 /// thread — instrumentation in library code costs one thread-local
 /// read outside the serving path.
 pub fn phase(name: &'static str) -> Option<PhaseGuard> {
     ACTIVE.with(|stack| {
         let parent = stack.borrow().last().cloned()?;
-        let node = parent.node.child(name);
         let path: Arc<str> = if parent.path.is_empty() {
             Arc::from(name)
         } else {
             Arc::from(format!("{};{name}", parent.path))
         };
         stack.borrow_mut().push(ProfileCtx {
-            node: Arc::clone(&node),
             collector: Arc::clone(&parent.collector),
             path: Arc::clone(&path),
         });
         Some(PhaseGuard {
             started: Instant::now(),
-            node,
-            parent: parent.node,
             collector: parent.collector,
             path,
             _not_send: PhantomData,
@@ -371,7 +309,7 @@ pub fn current() -> Option<ProfileCtx> {
 }
 
 /// Attributes a probed quality score to the current request's
-/// collector; a no-op outside an active route.
+/// collector; a no-op outside an active context.
 pub fn quality_sample(score: f64) {
     ACTIVE.with(|stack| {
         if let Some(ctx) = stack.borrow().last() {
@@ -396,9 +334,10 @@ impl Drop for InstallGuard {
 }
 
 /// Installs `ctx` as this thread's innermost profiling context until
-/// the guard drops. Phases opened beneath attach where the captured
-/// context pointed (the batch pool uses this so worker phases nest
-/// under the submitting request's phase).
+/// the guard drops. The serving edge installs each request's
+/// [`ProfileCtx::new`]; the batch pool installs the context it captured
+/// at submit, so worker phases nest under the submitting request's
+/// phase.
 pub fn install(ctx: ProfileCtx) -> InstallGuard {
     ACTIVE.with(|stack| stack.borrow_mut().push(ctx));
     InstallGuard {
@@ -425,6 +364,19 @@ mod tests {
             .unwrap_or_else(|| panic!("child {name} under {}", node.name))
     }
 
+    /// Runs `body` as one request under its own installed context, then
+    /// files it on `route` with its wall time, as the serving edge does.
+    fn request(profiler: &Profiler, route: &str, body: impl FnOnce()) -> Arc<PhaseCollector> {
+        let collector = Arc::new(PhaseCollector::new());
+        let started = Instant::now();
+        {
+            let _ctx = install(ProfileCtx::new(Arc::clone(&collector)));
+            body();
+        }
+        profiler.add(route, duration_ns(started.elapsed()), &collector);
+        collector
+    }
+
     #[test]
     fn phase_without_route_is_noop() {
         assert!(phase("scan").is_none());
@@ -435,16 +387,14 @@ mod tests {
     #[test]
     fn nested_phases_build_a_tree_and_collector() {
         let profiler = Profiler::new();
-        let collector = Arc::new(PhaseCollector::new());
-        {
-            let _route = profiler.route("recommend", Arc::clone(&collector));
-            let _handle = phase("handle").expect("route active");
+        let collector = request(&profiler, "recommend", || {
+            let _handle = phase("handle").expect("context installed");
             {
                 let _scan = phase("scan").unwrap();
                 std::thread::sleep(Duration::from_millis(2));
             }
             let _rank = phase("rank").unwrap();
-        }
+        });
         assert!(current().is_none(), "guards restore the empty stack");
 
         let report = profiler.snapshot();
@@ -469,35 +419,46 @@ mod tests {
     #[test]
     fn repeated_phases_aggregate_calls_and_time() {
         let profiler = Profiler::new();
-        let collector = Arc::new(PhaseCollector::new());
-        {
-            let _route = profiler.route("explain", Arc::clone(&collector));
+        let collector = request(&profiler, "explain", || {
             for _ in 0..10 {
                 let _p = phase("evidence").unwrap();
             }
-        }
+        });
         let report = profiler.snapshot();
         assert_eq!(child(find(&report, "explain"), "evidence").calls, 10);
         assert_eq!(collector.phases().len(), 1, "same path sums in place");
     }
 
     #[test]
-    fn record_external_attaches_to_route_root() {
+    fn root_self_time_is_the_duration_outside_top_level_phases() {
         let profiler = Profiler::new();
-        profiler.record_external("recommend", "queue_wait", Duration::from_micros(500));
+        let us = Duration::from_micros;
+        for _ in 0..2 {
+            let collector = PhaseCollector::new();
+            collector.add("queue_wait", us(300));
+            collector.add("handle", us(500));
+            collector.add("handle;scan", us(400));
+            profiler.add("recommend", 1_000_000, &collector);
+        }
         let report = profiler.snapshot();
         let route = find(&report, "recommend");
-        assert_eq!(child(route, "queue_wait").total_ns, 500_000);
-        assert_eq!(route.total_ns, 500_000, "root inclusive grows too");
-        assert_eq!(route.self_ns, 0, "external time is never root self-time");
+        assert_eq!(
+            (route.calls, route.total_ns),
+            (2, 2_000_000),
+            "the durations"
+        );
+        assert_eq!(route.self_ns, 400_000, "2 × (1000 − 300 − 500) µs");
+        let handle = child(route, "handle");
+        assert_eq!((handle.calls, handle.total_ns), (2, 1_000_000));
+        assert_eq!(handle.self_ns, 200_000);
+        assert_eq!(child(handle, "scan").self_ns, 800_000);
+        assert_eq!(child(route, "queue_wait").total_ns, 600_000);
     }
 
     #[test]
     fn contexts_install_across_threads() {
-        let profiler = Arc::new(Profiler::new());
-        let collector = Arc::new(PhaseCollector::new());
-        {
-            let _route = profiler.route("recommend", Arc::clone(&collector));
+        let profiler = Profiler::new();
+        let collector = request(&profiler, "recommend", || {
             let _handle = phase("handle").unwrap();
             let ctx = current().expect("context capturable");
             std::thread::scope(|scope| {
@@ -510,7 +471,7 @@ mod tests {
                     });
                 }
             });
-        }
+        });
         let report = profiler.snapshot();
         let handle = child(find(&report, "recommend"), "handle");
         assert_eq!(
@@ -533,14 +494,12 @@ mod tests {
     #[test]
     fn collapsed_stack_format_is_parseable() {
         let profiler = Profiler::new();
-        let collector = Arc::new(PhaseCollector::new());
-        {
-            let _route = profiler.route("recommend", Arc::clone(&collector));
+        request(&profiler, "recommend", || {
             let _handle = phase("handle").unwrap();
             let _scan = phase("scan").unwrap();
             std::thread::sleep(Duration::from_millis(1));
-        }
-        let collapsed = profiler.collapsed();
+        });
+        let collapsed = profiler.snapshot().collapsed();
         assert!(!collapsed.is_empty());
         for line in collapsed.lines() {
             let (stack, count) = line.rsplit_once(' ').expect("`stack count` shape");
@@ -559,10 +518,7 @@ mod tests {
     #[test]
     fn profile_report_round_trips_through_json() {
         let profiler = Profiler::new();
-        let collector = Arc::new(PhaseCollector::new());
-        {
-            let _route = profiler.route("healthz", collector);
-        }
+        request(&profiler, "healthz", || {});
         let json = serde_json::to_string(&profiler.snapshot()).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.routes.len(), 1);

@@ -25,11 +25,12 @@
 //! measures (via `exrec-core`'s probes) and feeds scalars in. That
 //! keeps this crate free of core/algo dependencies.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
+use crate::ring::Ring;
 use crate::Telemetry;
 
 /// Samples an interface's rolling window must hold before its
@@ -77,32 +78,14 @@ pub struct QualitySample<'a> {
     pub score: f64,
 }
 
-#[derive(Debug, Default)]
-struct Rolling {
-    window: VecDeque<f64>,
-    cap: usize,
-}
+/// A rolling window of the last `window` values of one signal.
+type Rolling = Ring<f64>;
 
 impl Rolling {
-    fn with_cap(cap: usize) -> Self {
-        Rolling {
-            window: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        if self.window.len() == self.cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(v);
-    }
-
     fn mean(&self) -> f64 {
-        if self.window.is_empty() {
-            0.0
-        } else {
-            self.window.iter().sum::<f64>() / self.window.len() as f64
+        match self.len() {
+            0 => 0.0,
+            n => self.iter().sum::<f64>() / n as f64,
         }
     }
 }
@@ -120,10 +103,10 @@ impl ScopeStat {
     fn with_cap(cap: usize) -> Self {
         ScopeStat {
             samples: 0,
-            score: Rolling::with_cap(cap),
-            fidelity: Rolling::with_cap(cap),
-            coverage: Rolling::with_cap(cap),
-            depth: Rolling::with_cap(cap),
+            score: Rolling::new(cap),
+            fidelity: Rolling::new(cap),
+            coverage: Rolling::new(cap),
+            depth: Rolling::new(cap),
         }
     }
 
@@ -194,7 +177,7 @@ impl QualityMonitor {
             .histogram("quality.fidelity_milli")
             .record_ns((sample.fidelity.clamp(0.0, 1.0) * 1000.0) as u64);
 
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = lock!(self.state.lock());
         let window = self.config.window;
         state.overall.samples += 1;
         state.overall.score.push(sample.score);
@@ -218,7 +201,7 @@ impl QualityMonitor {
         per_interface.coverage.push(sample.coverage);
         per_interface.depth.push(sample.provenance_depth as f64);
         let stat = per_interface.stat(sample.interface);
-        if per_interface.score.window.len() >= QUALITY_FILL.min(window) {
+        if per_interface.score.len() >= QUALITY_FILL.min(window) {
             metrics
                 .gauge(&format!("quality.score.{}", sample.interface))
                 .set(stat.score);
@@ -234,7 +217,7 @@ impl QualityMonitor {
             let rolling = state
                 .aims
                 .entry(aim.clone())
-                .or_insert_with(|| Rolling::with_cap(window));
+                .or_insert_with(|| Rolling::new(window));
             rolling.push(sample.score);
             metrics
                 .gauge(&format!("quality.aim.{aim}"))
@@ -252,7 +235,7 @@ impl QualityMonitor {
 
     /// A serializable snapshot for the `/debug/quality` surface.
     pub fn snapshot(&self) -> QualitySnapshot {
-        let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let state = lock!(self.state.lock());
         QualitySnapshot {
             samples: state.overall.samples,
             low_threshold: self.config.low_threshold,
@@ -270,7 +253,7 @@ impl QualityMonitor {
                 .iter()
                 .map(|(name, r)| AimQualityStat {
                     name: name.clone(),
-                    samples: r.window.len() as u64,
+                    samples: r.len() as u64,
                     score: r.mean(),
                 })
                 .collect(),

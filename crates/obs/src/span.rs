@@ -67,9 +67,7 @@ impl<W: Write + Send> JsonLinesSubscriber<W> {
 
     /// Unwraps the writer, flushing buffered lines.
     pub fn into_inner(self) -> W {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock!(self.writer.into_inner())
     }
 
     /// Clones the writer's current state — e.g. the bytes accumulated in
@@ -78,20 +76,14 @@ impl<W: Write + Send> JsonLinesSubscriber<W> {
     where
         W: Clone,
     {
-        self.writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+        lock!(self.writer.lock()).clone()
     }
 }
 
 impl<W: Write + Send> Subscriber for JsonLinesSubscriber<W> {
     fn on_span(&self, event: &SpanEvent) {
         let line = serde_json::to_string(event).unwrap_or_default();
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut w = lock!(self.writer.lock());
         // Telemetry must never take the pipeline down with it: a full
         // disk or closed pipe drops the event, not the recommendation.
         let _ = writeln!(w, "{line}");
@@ -112,19 +104,13 @@ impl CountingSubscriber {
 
     /// All events seen so far.
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+        lock!(self.events.lock()).clone()
     }
 }
 
 impl Subscriber for CountingSubscriber {
     fn on_span(&self, event: &SpanEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(event.clone());
+        lock!(self.events.lock()).push(event.clone());
     }
 }
 
@@ -225,7 +211,7 @@ impl Drop for SpanGuard<'_> {
         let event = SpanEvent {
             name: self.name.to_owned(),
             fields: std::mem::take(&mut self.fields),
-            elapsed_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+            elapsed_ns: trace::duration_ns(elapsed),
             start_offset_ns: trace::offset_ns_of(self.started),
         };
         self.telemetry.subscriber.on_span(&event);

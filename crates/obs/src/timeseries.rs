@@ -25,13 +25,14 @@
 //! window; rates stay honest because deltas divide by *actual* elapsed
 //! time, not the nominal interval.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{HistogramRaw, Metrics};
+use crate::ring::Ring;
 use crate::trace;
 
 /// Wire-schema version stamped into [`TsSnapshot`]; bump on breaking
@@ -168,33 +169,6 @@ impl Tick {
     }
 }
 
-/// A bounded ring of points.
-#[derive(Debug, Clone)]
-struct Ring<T> {
-    points: VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T: Clone> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            points: VecDeque::with_capacity(capacity.min(1024)),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&mut self, point: T) {
-        if self.points.len() == self.capacity {
-            self.points.pop_front();
-        }
-        self.points.push_back(point);
-    }
-
-    fn to_vec(&self) -> Vec<T> {
-        self.points.iter().cloned().collect()
-    }
-}
-
 /// Mutable sampling state, touched only while holding the tick claim.
 #[derive(Debug, Default)]
 struct TsState {
@@ -219,13 +193,6 @@ pub struct TimeSeries {
     /// due-check is one relaxed load; claiming the tick is one CAS.
     next_due_ns: AtomicU64,
     state: Mutex<TsState>,
-}
-
-/// Recovers a poisoned guard; ring state is always structurally valid.
-macro_rules! lock {
-    ($guard:expr) => {
-        $guard.unwrap_or_else(|poisoned| poisoned.into_inner())
-    };
 }
 
 impl TimeSeries {
@@ -331,14 +298,12 @@ impl TimeSeries {
             tick.gauges.insert(name.clone(), point);
         }
         for (name, raw) in raw_hists {
-            let window = match state.prev_hists.get(&name) {
-                Some(prev) => raw.since(prev),
-                None => raw.since(&HistogramRaw {
-                    buckets: Vec::new(),
-                    count: 0,
-                    sum_ns: 0,
-                }),
-            };
+            let window = raw.since(
+                state
+                    .prev_hists
+                    .get(&name)
+                    .unwrap_or(&HistogramRaw::default()),
+            );
             let point = HistPoint {
                 epoch,
                 count: window.count,
@@ -381,10 +346,10 @@ impl TimeSeries {
             )
         };
         if let Some(ring) = state.counters.get(name) {
-            let deltas = ring.points.iter().map(|p| (p.epoch, p.delta));
+            let deltas = ring.iter().map(|p| (p.epoch, p.delta));
             return Some(deltas.fold((0, 0), add));
         }
-        let counts = state.histograms.get(name)?.points.iter();
+        let counts = state.histograms.get(name)?.iter();
         Some(counts.map(|p| (p.epoch, p.count)).fold((0, 0), add))
     }
 

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The instant the process' monotonic span clock was first read; every
 /// `start_offset_ns` is measured from here.
@@ -26,13 +26,15 @@ pub fn process_start() -> Instant {
     *PROCESS_START.get_or_init(Instant::now)
 }
 
+/// Whole nanoseconds of `elapsed`, saturating at `u64::MAX`.
+pub fn duration_ns(elapsed: Duration) -> u64 {
+    elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
 /// Nanoseconds between the process zero point and `instant`.
 /// Saturates to 0 for instants before the zero point.
 pub fn offset_ns_of(instant: Instant) -> u64 {
-    instant
-        .saturating_duration_since(process_start())
-        .as_nanos()
-        .min(u128::from(u64::MAX)) as u64
+    duration_ns(instant.saturating_duration_since(process_start()))
 }
 
 /// Nanoseconds since the process zero point, now.

@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::flight::FlightRecorder;
 use crate::metrics::Metrics;
+use crate::ring::Ring;
 use crate::timeseries::{Stat, Tick};
 use crate::trace;
 
@@ -39,6 +40,12 @@ pub const FAST_BURN: f64 = 6.0;
 /// Requests a route must serve in one tick before its burn can be
 /// anomalous, so one slow request on an idle route cannot page.
 pub const BURN_MIN_REQUESTS: u64 = 10;
+
+/// Samples a histogram's tick window must hold before a [`Stat::P99`]
+/// rule judges it. The p99 rank is `ceil(0.99 n)`, which is `n` for
+/// every `n` below 100, so a smaller window's p99 is its maximum: one
+/// slow request would read as drift.
+pub const P99_MIN_SAMPLES: u64 = 100;
 
 /// Span of ticks an SLO standing (good, total, burn) is read over.
 pub const SLO_WINDOW_NS: u64 = 60_000_000_000;
@@ -154,10 +161,15 @@ fn delta(tick: &Tick, name: &str) -> u64 {
 
 impl Rule {
     /// The value the detector judges in `tick`; `None` while the series
-    /// is absent or the tick holds no evidence. A burn rule reads its
+    /// is absent or the tick holds no evidence, which for a p99 is a
+    /// window of fewer than [`P99_MIN_SAMPLES`]. A burn rule reads its
     /// route's [`tick_burn`].
     fn read(&self, tick: &Tick) -> Option<f64> {
         if self.evidence.as_ref().is_some_and(|c| delta(tick, c) == 0) {
+            return None;
+        }
+        if self.stat == Stat::P99 && tick.value(&self.metric, Stat::Count)? < P99_MIN_SAMPLES as f64
+        {
             return None;
         }
         let value = tick.value(&self.metric, self.stat)?;
@@ -231,22 +243,26 @@ struct RuleState {
 
 /// A bounded append-only incident log: the oldest entry is evicted at
 /// capacity, while the `opened` total keeps counting.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IncidentLog {
-    incidents: std::collections::VecDeque<Incident>,
+    incidents: Ring<Incident>,
     opened: u64,
 }
 
 impl IncidentLog {
-    /// Appends a new incident, evicting the oldest at `capacity`;
-    /// returns the assigned sequence number.
-    fn open(&mut self, capacity: usize, mut incident: Incident) -> u64 {
+    fn new(capacity: usize) -> Self {
+        IncidentLog {
+            incidents: Ring::new(capacity),
+            opened: 0,
+        }
+    }
+
+    /// Appends a new incident, evicting the oldest at capacity; returns
+    /// the assigned sequence number.
+    fn open(&mut self, mut incident: Incident) -> u64 {
         self.opened += 1;
         incident.seq = self.opened;
-        if self.incidents.len() == capacity {
-            self.incidents.pop_front();
-        }
-        self.incidents.push_back(incident);
+        self.incidents.push(incident);
         self.opened
     }
 
@@ -259,7 +275,7 @@ impl IncidentLog {
 
     /// Retained incidents, oldest first.
     pub fn entries(&self) -> Vec<Incident> {
-        self.incidents.iter().cloned().collect()
+        self.incidents.to_vec()
     }
 
     /// Total incidents ever opened (including evicted ones).
@@ -269,7 +285,7 @@ impl IncidentLog {
 }
 
 /// Everything behind the watchdog's one mutex.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WatchState {
     rules: Vec<RuleState>,
     log: IncidentLog,
@@ -297,26 +313,20 @@ struct WatchMetrics {
     dumps: crate::metrics::Counter,
 }
 
-/// Recovers a poisoned guard; incident state is always valid.
-macro_rules! lock {
-    ($guard:expr) => {
-        $guard.unwrap_or_else(|poisoned| poisoned.into_inner())
-    };
-}
-
 impl Watchdog {
     /// A watchdog over `rules`.
     pub fn new(config: WatchConfig, rules: Vec<Rule>) -> Self {
+        let log_capacity = config.log_capacity.max(1);
         let state = WatchState {
             rules: vec![RuleState::default(); rules.len()],
-            ..WatchState::default()
+            log: IncidentLog::new(log_capacity),
         };
         Watchdog {
             config: WatchConfig {
                 trip_after: config.trip_after.max(1),
                 clear_after: config.clear_after.max(1),
                 ewma_alpha: config.ewma_alpha.clamp(1e-6, 1.0),
-                log_capacity: config.log_capacity.max(1),
+                log_capacity,
             },
             rules,
             state: Mutex::new(state),
@@ -384,21 +394,18 @@ impl Watchdog {
                     let detail = format!(
                         "{series} = {value:.3} crossed {threshold:.3} for {streak} consecutive ticks"
                     );
-                    let seq = state.log.open(
-                        self.config.log_capacity,
-                        Incident {
-                            seq: 0,
-                            rule: rule.name.clone(),
-                            series: rule.metric.clone(),
-                            kind: rule.detector.kind().to_owned(),
-                            opened_epoch: tick.epoch,
-                            opened_offset_ns: tick.offset_ns,
-                            closed_epoch: None,
-                            value,
-                            threshold,
-                            detail,
-                        },
-                    );
+                    let seq = state.log.open(Incident {
+                        seq: 0,
+                        rule: rule.name.clone(),
+                        series: rule.metric.clone(),
+                        kind: rule.detector.kind().to_owned(),
+                        opened_epoch: tick.epoch,
+                        opened_offset_ns: tick.offset_ns,
+                        closed_epoch: None,
+                        value,
+                        threshold,
+                        detail,
+                    });
                     state.rules[i].open_seq = seq;
                     opened.push(seq);
                     dump_reasons.push(format!("watchdog: {}", rule.name));
@@ -467,21 +474,18 @@ impl Watchdog {
     pub fn event(&self, name: &str, detail: &str) -> u64 {
         let seq = {
             let mut state = lock!(self.state.lock());
-            state.log.open(
-                self.config.log_capacity,
-                Incident {
-                    seq: 0,
-                    rule: name.to_owned(),
-                    series: String::new(),
-                    kind: "event".to_owned(),
-                    opened_epoch: 0,
-                    opened_offset_ns: trace::process_offset_ns(),
-                    closed_epoch: Some(0),
-                    value: 1.0,
-                    threshold: 0.0,
-                    detail: detail.to_owned(),
-                },
-            )
+            state.log.open(Incident {
+                seq: 0,
+                rule: name.to_owned(),
+                series: String::new(),
+                kind: "event".to_owned(),
+                opened_epoch: 0,
+                opened_offset_ns: trace::process_offset_ns(),
+                closed_epoch: Some(0),
+                value: 1.0,
+                threshold: 0.0,
+                detail: detail.to_owned(),
+            })
         };
         self.publish(&[format!("watchdog: {name}")]);
         seq
@@ -509,7 +513,7 @@ impl Watchdog {
     fn publish(&self, dump_reasons: &[String]) {
         for reason in dump_reasons {
             if let Some(flight) = &self.flight {
-                flight.dump_stderr(reason);
+                flight.dump(&mut std::io::stderr().lock(), reason);
             }
             self.flight_dumps.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = &self.metrics {
@@ -676,41 +680,59 @@ mod tests {
         assert_eq!(incident.opened_epoch, 31);
     }
 
+    /// The incidents the serving edge's p99 drift rule opens, tick by
+    /// tick, under the default watch settings: 17 ticks of `n` samples
+    /// just under 2^20 ns (so p99 reads the bucket bound), the last
+    /// `slow` of each tick after the twelfth just under `step_ns`.
+    fn p99_drift(n: u64, slow: u64, step_ns: u64) -> Vec<usize> {
+        let rule = Rule {
+            name: "latency_drift".to_owned(),
+            metric: "h".to_owned(),
+            stat: Stat::P99,
+            detector: Detector::ZScore {
+                factor: 6.0,
+                min_samples: 12,
+            },
+            evidence: None,
+        };
+        let w = Watchdog::new(WatchConfig::default(), vec![rule]);
+        let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
+        let tick = |epoch: u64| {
+            let slow = if epoch <= 12 { 0 } else { slow };
+            (0..n - slow).for_each(|_| m.histogram("h").record_ns((1 << 20) - 1));
+            (0..slow).for_each(|_| m.histogram("h").record_ns(step_ns - 1));
+            let tick = ts.sample_at(&m, epoch * SEC);
+            let p99 = if slow == 0 { 1 << 20 } else { step_ns };
+            assert_eq!(tick.value("h", Stat::P99), Some(p99 as f64));
+            w.observe(&tick).len()
+        };
+        (1..=17).map(tick).collect()
+    }
+
     #[test]
     fn zscore_waits_out_a_one_bucket_p99_step() {
         // A steady p99 at 2^20 ns through warm-up, then a step of one
         // or two power-of-two buckets, at the serving edge's defaults.
-        let opened = |step_ns: u64| {
-            let w = Watchdog::new(
-                WatchConfig::default(),
-                vec![Rule {
-                    name: "latency_drift".to_owned(),
-                    metric: "h".to_owned(),
-                    stat: Stat::P99,
-                    detector: Detector::ZScore {
-                        factor: 6.0,
-                        min_samples: 12,
-                    },
-                    evidence: None,
-                }],
-            );
-            let (m, ts) = (Metrics::new(), TimeSeries::new(TsConfig::default()));
-            let mut ticks = Vec::new();
-            for epoch in 1..=17 {
-                // Just under a bucket bound, so p99 reads the bound.
-                let ns = if epoch <= 12 { 1 << 20 } else { step_ns };
-                (0..10).for_each(|_| m.histogram("h").record_ns(ns - 1));
-                let tick = ts.sample_at(&m, epoch * SEC);
-                assert_eq!(tick.value("h", Stat::P99), Some(ns as f64));
-                ticks.push(w.observe(&tick).len());
-            }
-            ticks
-        };
+        let opened = |step_ns| p99_drift(100, 100, step_ns);
         assert_eq!(opened(1 << 21), vec![0; 17], "one bucket up is noise");
         let trip_after = WatchConfig::default().trip_after as usize;
         let mut expected = vec![0; 17];
         expected[12 + trip_after - 1] = 1;
         assert_eq!(opened(1 << 22), expected, "two buckets up is drift");
+    }
+
+    #[test]
+    fn p99_drift_judges_only_ticks_of_a_hundred_samples() {
+        // In a tick of 72 the p99 is its maximum, here one request in
+        // the 2^24 ns bucket.
+        let one_slow_request = p99_drift(72, 1, 1 << 24);
+        assert_eq!(
+            one_slow_request,
+            vec![0; 17],
+            "one slow request is not drift"
+        );
+        let two_buckets_up = p99_drift(100, 100, 1 << 22);
+        assert_eq!(two_buckets_up.iter().sum::<usize>(), 1, "is drift");
     }
 
     #[test]

@@ -33,14 +33,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use exrec_obs::profile::{self, PhaseCollector, Profiler};
+use exrec_obs::profile::{self, PhaseCollector, ProfileCtx, Profiler};
 use exrec_obs::timeseries::Stat;
 use exrec_obs::watch::{
     burn_rate, tick_burn, Detector, Rule, WatchConfig, Watchdog, SLO_WINDOW_NS,
 };
 use exrec_obs::{
-    promtext, trace, Counter, FlightConfig, FlightRecorder, IdSource, IngestRecord,
-    QualitySnapshot, RequestRecord, RunMeta, Telemetry, TimeSeries, TsConfig,
+    promtext, trace, Counter, FlightRecorder, IdSource, IngestRecord, QualitySnapshot,
+    RequestRecord, RunMeta, Telemetry, TimeSeries, TsConfig,
 };
 
 use exrec_core::aims::Aim;
@@ -335,8 +335,9 @@ struct Shared {
     flushed: Counter,
     /// Workers currently executing a request (not blocked on the queue).
     busy: AtomicUsize,
-    /// Always-on phase profiler (`GET /debug/profile`).
-    profiler: Arc<Profiler>,
+    /// The per-route phase tree, the sum of the filed requests
+    /// (`GET /debug/profile`).
+    profiler: Profiler,
     /// Black-box ring of the last N completed requests.
     flight: Arc<FlightRecorder>,
     /// Bounded-ring time-series sampler, ticked cooperatively by the
@@ -371,10 +372,7 @@ pub fn start(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let flight = Arc::new(FlightRecorder::new(FlightConfig {
-        capacity: config.flight_capacity,
-        ..FlightConfig::default()
-    }));
+    let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
     let watch = Arc::new(
         Watchdog::new(
             WatchConfig {
@@ -407,7 +405,7 @@ pub fn start(
         },
         flushed: telemetry.metrics().counter("trace.flushed"),
         busy: AtomicUsize::new(0),
-        profiler: Arc::new(Profiler::new()),
+        profiler: Profiler::new(),
         flight,
         ts: TimeSeries::new(config.ts.clone()),
         watch,
@@ -459,11 +457,6 @@ impl ServerHandle {
     /// `serve` binary prints this in its shutdown report).
     pub fn slo_snapshot(&self) -> BTreeMap<String, SloRouteBody> {
         slo_standing(&self.shared)
-    }
-
-    /// The always-on phase profiler behind `GET /debug/profile`.
-    pub fn profiler(&self) -> &Arc<Profiler> {
-        &self.shared.profiler
     }
 
     /// The live quality estimator's snapshot (the `serve` binary
@@ -569,7 +562,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     status: 429,
                     outcome: RequestRecord::outcome_of(429).to_owned(),
                     start_offset_ns: trace::offset_ns_of(conn.admitted_at),
-                    duration_ns: duration_ns(conn.admitted_at.elapsed()),
+                    duration_ns: trace::duration_ns(conn.admitted_at.elapsed()),
                     phases: Vec::new(),
                     quality: None,
                     ingest: None,
@@ -785,17 +778,11 @@ fn serve_connection(shared: &Shared, conn: Conn) {
                 busy_gauge.sub(1.0);
                 // First request on the connection: its wall clock runs
                 // from admission, so the pre-dispatch time (queue wait,
-                // request read + parse) is attributable now that the
-                // route is known. Later keep-alive requests start their
-                // clock after the read, so only `handle` applies.
+                // request read + parse) is its own. Later keep-alive
+                // requests start their clock after the read, so only
+                // `handle` applies.
                 if let Some(wait) = wait {
-                    shared
-                        .profiler
-                        .record_external(endpoint, "queue_wait", wait);
                     collector.add("queue_wait", wait);
-                    shared
-                        .profiler
-                        .record_external(endpoint, "parse", parse_took);
                     collector.add("parse", parse_took);
                 }
                 let response = response.with_header("x-exrec-trace-id", trace_hex.clone());
@@ -820,16 +807,12 @@ fn serve_connection(shared: &Shared, conn: Conn) {
     }
 }
 
-/// Saturating `Duration` → whole nanoseconds.
-fn duration_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Records the per-request metrics every endpoint shares and files the
-/// request's flight record, before the client sees the response. A
-/// request bad by the SLO is counted against its route (the burn rules
-/// judge that series on the next tick) and its record is written to
-/// stderr, counted in `trace.flushed`.
+/// Records the per-request metrics every endpoint shares, files the
+/// request's flight record and folds its phases into the profile tree,
+/// before the client sees the response. A request bad by the SLO is
+/// counted against its route (the burn rules judge that series on the
+/// next tick) and its record is written to stderr, counted in
+/// `trace.flushed`.
 #[allow(clippy::too_many_arguments)]
 fn record(
     shared: &Shared,
@@ -849,6 +832,8 @@ fn record(
     metrics
         .counter(&format!("serve.status.{}xx", status / 100))
         .incr();
+    let took_ns = trace::duration_ns(took);
+    shared.profiler.add(endpoint, took_ns, collector);
     let record = RequestRecord {
         seq: 0,
         trace_id: trace_hex.to_owned(),
@@ -856,7 +841,7 @@ fn record(
         status,
         outcome: RequestRecord::outcome_of(status).to_owned(),
         start_offset_ns: trace::offset_ns_of(started),
-        duration_ns: duration_ns(took),
+        duration_ns: took_ns,
         phases: collector.phases(),
         quality: collector.quality(),
         ingest,
@@ -871,10 +856,10 @@ fn record(
     maybe_tick(shared);
 }
 
-/// Routes one parsed request, isolating handler panics. The endpoint
-/// name resolves first so the entire handler runs under the route's
-/// profiling context ([`Profiler::route`]) inside a `handle` phase —
-/// the inner phases (`admit`, `scan`, `evidence`, …) nest beneath it.
+/// Routes one parsed request, isolating handler panics. The entire
+/// handler runs under the request's installed profiling context inside
+/// a `handle` phase — the inner phases (`admit`, `scan`, `evidence`, …)
+/// nest beneath it.
 fn dispatch(
     shared: &Shared,
     request: &Request,
@@ -892,7 +877,7 @@ fn dispatch(
         Some(_) => "method_not_allowed",
         None => "not_found",
     };
-    let _route = shared.profiler.route(endpoint, Arc::clone(collector));
+    let _request = profile::install(ProfileCtx::new(Arc::clone(collector)));
     let _handle = profile::phase("handle");
     let mut ingest = None;
     let response = match endpoint {
@@ -947,18 +932,16 @@ fn debug_profile(shared: &Shared, request: &Request) -> Response {
     let wants_text = request
         .header("accept")
         .is_some_and(|accept| accept.contains("text/plain"));
+    let report = shared.profiler.snapshot();
     if wants_text {
-        Response::text(
-            200,
-            shared.profiler.collapsed(),
-            "text/plain; charset=utf-8",
-        )
+        Response::text(200, report.collapsed(), "text/plain; charset=utf-8")
     } else {
+        let collapsed = report.collapsed();
         Response::json(
             200,
             &DebugProfileBody {
-                routes: shared.profiler.snapshot().routes,
-                collapsed: shared.profiler.collapsed(),
+                routes: report.routes,
+                collapsed,
             },
         )
     }

@@ -1,12 +1,15 @@
 //! Integration tests for the `/debug/*` introspection surface, the
 //! always-on phase profiler and the request flight recorder, over real
 //! loopback sockets: gating, profile completeness (phases must account
-//! for ≥90% of measured wall time), collapsed-stack export, and the
-//! flight ring keeping the requests that were not logged.
+//! for ≥90% of measured wall time), the profile tree as the exact sum of
+//! the filed requests, collapsed-stack export, and the flight ring
+//! keeping the requests that were not logged.
 
 mod common;
 
-use exrec_obs::Telemetry;
+use std::collections::BTreeMap;
+
+use exrec_obs::{PhaseSnapshot, Telemetry};
 use exrec_serve::app::AppConfig;
 use exrec_serve::client::{self, Connection};
 use exrec_serve::proto::{DebugProfileBody, DebugRequestsBody, DebugWorldBody, HealthResponse};
@@ -97,6 +100,61 @@ fn profile_accounts_for_ninety_percent_of_wall_time() {
             record.phases
         );
     }
+    handle.shutdown();
+}
+
+#[test]
+fn profile_tree_is_the_sum_of_the_filed_requests() {
+    let handle = start_server(|server, _| server.debug_endpoints = true);
+    let addr = handle.addr();
+    // Fresh connections, so queue wait and parse are filed too; several
+    // users a request, so the batch pool's threads run phases as well.
+    for _ in 0..4 {
+        let response = client::request(
+            addr,
+            "POST",
+            "/v1/recommend",
+            &[],
+            r#"{"users": [0, 1, 2, 3, 4, 5], "n": 4, "explain": true}"#,
+        )
+        .unwrap();
+        assert_eq!(response.status, 200);
+    }
+
+    let get = |path| client::request(addr, "GET", path, &[], "").unwrap().body;
+    let requests: DebugRequestsBody = serde_json::from_str(&get("/debug/requests")).unwrap();
+    let profile: DebugProfileBody = serde_json::from_str(&get("/debug/profile")).unwrap();
+    let records: Vec<_> = requests
+        .requests
+        .iter()
+        .filter(|r| r.route == "recommend")
+        .collect();
+    assert_eq!(records.len(), 4);
+    let root = profile
+        .routes
+        .iter()
+        .find(|r| r.name == "recommend")
+        .expect("recommend route profiled");
+    assert_eq!(root.calls, 4, "one call per filed request");
+    let durations: u64 = records.iter().map(|r| r.duration_ns).sum();
+    assert_eq!(root.total_ns, durations, "the requests' durations");
+
+    // Every phase node is its path's nanoseconds summed over the records.
+    let mut filed: BTreeMap<String, u64> = BTreeMap::new();
+    for (path, ns) in records.iter().flat_map(|r| &r.phases) {
+        *filed.entry(path.clone()).or_default() += ns;
+    }
+    fn paths(node: &PhaseSnapshot, prefix: &str, out: &mut BTreeMap<String, u64>) {
+        for child in &node.children {
+            let path = format!("{prefix}{}", child.name);
+            out.insert(path.clone(), child.total_ns);
+            paths(child, &format!("{path};"), out);
+        }
+    }
+    let mut tree = BTreeMap::new();
+    paths(root, "", &mut tree);
+    assert_eq!(tree, filed);
+    assert!(filed.contains_key("queue_wait") && filed.contains_key("handle;scan"));
     handle.shutdown();
 }
 
